@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "cli.h"
 #include "common/table.h"
 #include "core/ag_combo.h"
 #include "core/framework.h"
@@ -53,7 +54,8 @@ std::vector<Candidate> make_candidates() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t seeds = argc > 1 ? std::stoul(argv[1]) : 5;
+  const std::size_t seeds =
+      bench::optional_count(argc, argv, 5, "ablation_combined [seeds]");
   std::printf("=== Extension: combined account grouping (paper future "
               "work; %zu seeds) ===\n\n",
               seeds);

@@ -6,6 +6,7 @@
 // Reported as MAE (dBm) averaged over seeds on the paper scenario.
 #include <cstdio>
 
+#include "cli.h"
 #include "common/table.h"
 #include "core/framework.h"
 #include "eval/adapters.h"
@@ -42,7 +43,8 @@ double averaged(double legit, double sybil, std::size_t seeds,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t seeds = argc > 1 ? std::stoul(argv[1]) : 5;
+  const std::size_t seeds =
+      bench::optional_count(argc, argv, 5, "ablation_framework [seeds]");
   std::printf("=== Ablation: framework design choices (MAE in dBm, "
               "AG-FP grouping for 1-3, %zu seeds) ===\n\n",
               seeds);

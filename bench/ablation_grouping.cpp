@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "cli.h"
 #include "common/table.h"
 #include "eval/adapters.h"
 #include "eval/experiment.h"
@@ -35,7 +36,8 @@ double mean_ari(double legit, double sybil, std::size_t seeds,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t seeds = argc > 1 ? std::stoul(argv[1]) : 5;
+  const std::size_t seeds =
+      bench::optional_count(argc, argv, 5, "ablation_grouping [seeds]");
   std::printf("=== Ablation: grouping method knobs (mean ARI, %zu seeds) "
               "===\n\n",
               seeds);

@@ -10,6 +10,7 @@
 // budgeted reverse-auction selection stage.
 #include <cstdio>
 
+#include "cli.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/ag_tr.h"
@@ -113,7 +114,8 @@ void emit(TextTable& table, const char* label, Row row, std::size_t seeds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t seeds = argc > 1 ? std::stoul(argv[1]) : 5;
+  const std::size_t seeds =
+      bench::optional_count(argc, argv, 5, "ablation_incentive [seeds]");
   std::printf("=== Extension: incentive selection vs grouping false "
               "positives (twin campaign, AG-TR, %zu seeds) ===\n\n",
               seeds);

@@ -6,6 +6,7 @@
 // devices and true users.
 #include <cstdio>
 
+#include "cli.h"
 #include "common/table.h"
 #include "core/ag_fp.h"
 #include "eval/adapters.h"
@@ -18,7 +19,8 @@
 using namespace sybiltd;
 
 int main(int argc, char** argv) {
-  const std::size_t seeds = argc > 1 ? std::stoul(argv[1]) : 5;
+  const std::size_t seeds =
+      bench::optional_count(argc, argv, 5, "ablation_kselection [seeds]");
   std::printf("=== Extension: device-count estimation for AG-FP (%zu "
               "seeds; true devices = 11, distinguishable groups ~ "
               "models) ===\n\n",

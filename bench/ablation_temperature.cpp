@@ -10,6 +10,7 @@
 // insensitive features keep the method usable.
 #include <cstdio>
 
+#include "cli.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "ml/clustering_metrics.h"
@@ -21,7 +22,8 @@
 using namespace sybiltd;
 
 int main(int argc, char** argv) {
-  const std::size_t seeds = argc > 1 ? std::stoul(argv[1]) : 5;
+  const std::size_t seeds =
+      bench::optional_count(argc, argv, 5, "ablation_temperature [seeds]");
   std::printf("=== Extension: fingerprint stability vs ambient temperature "
               "(8 devices x 5 captures, %zu seeds) ===\n\n",
               seeds);

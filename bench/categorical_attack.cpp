@@ -5,6 +5,7 @@
 // (all account-level, vulnerable) vs the framework with AG-TR grouping.
 #include <cstdio>
 
+#include "cli.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/ag_tr.h"
@@ -86,7 +87,8 @@ double label_accuracy(const std::vector<std::size_t>& estimated,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t seeds = argc > 1 ? std::stoul(argv[1]) : 5;
+  const std::size_t seeds =
+      bench::optional_count(argc, argv, 5, "categorical_attack [seeds]");
   std::printf("=== Extension: Sybil attack on categorical tasks (%zu "
               "honest accounts, %zu tasks, %zu labels, %zu seeds) ===\n\n",
               kHonest, kTasks, kLabels, seeds);

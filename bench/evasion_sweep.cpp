@@ -7,6 +7,7 @@
 // could do shrinks) and the framework's residual error stays bounded.
 #include <cstdio>
 
+#include "cli.h"
 #include "common/table.h"
 #include "eval/experiment.h"
 
@@ -66,7 +67,8 @@ void sweep(const char* title, const std::vector<double>& knob_values,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t seeds = argc > 1 ? std::stoul(argv[1]) : 5;
+  const std::size_t seeds =
+      bench::optional_count(argc, argv, 5, "evasion_sweep [seeds]");
   std::printf("=== Extension: attacker evasion sweep (legit 0.5 / sybil "
               "0.8, %zu seeds) ===\n\n",
               seeds);

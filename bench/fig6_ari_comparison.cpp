@@ -10,13 +10,15 @@
 //     fingerprints; the paper attributes its decline to same-model phones)
 #include <cstdio>
 
+#include "cli.h"
 #include "common/table.h"
 #include "eval/experiment.h"
 
 using namespace sybiltd;
 
 int main(int argc, char** argv) {
-  const std::size_t seeds = argc > 1 ? std::stoul(argv[1]) : 5;
+  const std::size_t seeds =
+      bench::optional_count(argc, argv, 5, "fig6_ari_comparison [seeds]");
   std::printf("=== Fig. 6: ARI of account grouping methods (%zu seeds per "
               "point) ===\n",
               seeds);

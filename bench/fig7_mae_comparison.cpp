@@ -12,13 +12,15 @@
 //     regime the paper itself assigns to AG-TR; see EXPERIMENTS.md)
 #include <cstdio>
 
+#include "cli.h"
 #include "common/table.h"
 #include "eval/experiment.h"
 
 using namespace sybiltd;
 
 int main(int argc, char** argv) {
-  const std::size_t seeds = argc > 1 ? std::stoul(argv[1]) : 5;
+  const std::size_t seeds =
+      bench::optional_count(argc, argv, 5, "fig7_mae_comparison [seeds]");
   std::printf("=== Fig. 7: MAE of aggregation methods (%zu seeds per point, "
               "dBm) ===\n",
               seeds);

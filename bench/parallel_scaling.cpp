@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "core/ag_fp.h"
@@ -75,6 +76,9 @@ std::string format_speedup(double serial_ms, double ms) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "parallel_scaling [legit_count] [--markdown | --json]";
+  bench::handle_help(argc, argv, kUsage);
   std::size_t legit = 150;
   bool markdown = false;
   bool json = false;
@@ -84,7 +88,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[a], "--json") == 0) {
       json = true;
     } else {
-      legit = std::stoul(argv[a]);
+      legit = bench::parse_count(argv[a], kUsage, 1);
     }
   }
 

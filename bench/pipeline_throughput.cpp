@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "obs/metrics.h"
@@ -59,6 +60,9 @@ std::vector<pipeline::Report> make_reports(std::size_t total) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "pipeline_throughput [reports] [shards] [--metrics PATH]";
+  bench::handle_help(argc, argv, kUsage);
   std::string metrics_path;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
@@ -68,9 +72,15 @@ int main(int argc, char** argv) {
       positional.emplace_back(argv[i]);
     }
   }
-  const std::size_t total =
-      !positional.empty() ? std::stoul(positional[0]) : std::size_t{200000};
-  const std::size_t shards = positional.size() > 1 ? std::stoul(positional[1]) : 2;
+  if (positional.size() > 2) bench::usage_error(kUsage, "too many arguments");
+  const std::size_t total = !positional.empty()
+                                ? bench::parse_count(positional[0].c_str(),
+                                                     kUsage, 1)
+                                : std::size_t{200000};
+  const std::size_t shards =
+      positional.size() > 1
+          ? bench::parse_count(positional[1].c_str(), kUsage, 1)
+          : 2;
 
   std::printf("=== Extension: streaming pipeline throughput ===\n");
   std::printf("%zu campaigns x %zu accounts x %zu tasks, %zu reports/run, "

@@ -11,6 +11,7 @@
 // weight = its group's weight split evenly across the group).
 #include <cstdio>
 
+#include "cli.h"
 #include "common/table.h"
 #include "core/ag_tr.h"
 #include "core/framework.h"
@@ -22,7 +23,8 @@
 using namespace sybiltd;
 
 int main(int argc, char** argv) {
-  const std::size_t seeds = argc > 1 ? std::stoul(argv[1]) : 5;
+  const std::size_t seeds =
+      bench::optional_count(argc, argv, 5, "rapacious_attack [seeds]");
   std::printf("=== Extension: the rapacious attacker's reward share "
               "(honest-duplicate attack, 8 legit users + 2 attackers, %zu "
               "seeds) ===\n\n",

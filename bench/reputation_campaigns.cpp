@@ -11,6 +11,7 @@
 // CRH, and the single-campaign framework (TD-TR) for reference.
 #include <cstdio>
 
+#include "cli.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "eval/adapters.h"
@@ -21,7 +22,8 @@
 using namespace sybiltd;
 
 int main(int argc, char** argv) {
-  const std::size_t seeds = argc > 1 ? std::stoul(argv[1]) : 5;
+  const std::size_t seeds =
+      bench::optional_count(argc, argv, 5, "reputation_campaigns [seeds]");
   const int campaigns = 8;
   std::printf("=== Extension: reputation across %d campaigns (paper "
               "scenario, legit 0.6 / sybil 0.8, %zu seeds) ===\n\n",

@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cli.h"
 #include "common/table.h"
 #include "core/ag_tr.h"
 #include "core/ag_ts.h"
@@ -478,6 +479,10 @@ int run_strategies(std::size_t max_legit) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "scalability [accounts...] [--json] [--smoke] [--strategies] "
+      "[--all-pairs-cap N]";
+  bench::handle_help(argc, argv, kUsage);
   bool json = false;
   bool smoke = false;
   bool strategies = false;
@@ -492,9 +497,9 @@ int main(int argc, char** argv) {
       strategies = true;
     } else if (std::strcmp(argv[i], "--all-pairs-cap") == 0 &&
                i + 1 < argc) {
-      all_pairs_cap = std::stoul(argv[++i]);
+      all_pairs_cap = bench::parse_count(argv[++i], kUsage);
     } else {
-      sizes.push_back(std::stoul(argv[i]));
+      sizes.push_back(bench::parse_count(argv[i], kUsage, 1));
     }
   }
   if (strategies) {

@@ -23,7 +23,8 @@
 //               p99_us remain as aliases), publish_p50_us / publish_p99_us
 //               (end-to-end ingest->publish latency from the per-campaign
 //               registry histograms) and decode_fast / decode_fallback
-//               (which ingest codec served the run) — the shape
+//               (which ingest codec served the run) and failed_requests
+//               (requests answered with anything but 202) — the shape
 //               compare_bench.py understands; committed as
 //               BENCH_server.json.
 #include <arpa/inet.h>
@@ -35,12 +36,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli.h"
 #include "obs/metrics.h"
 #include "server/server.h"
 
@@ -81,8 +84,13 @@ bool write_all(int fd, const std::string& data) {
   return true;
 }
 
+struct Response {
+  int status = 0;            // 0 when the status line does not parse
+  std::size_t accepted = 0;  // the body's "accepted" count, 0 if absent
+};
+
 // Read until a full response (headers + Content-Length body) is buffered.
-bool read_response(int fd, std::string& buffer) {
+bool read_response(int fd, std::string& buffer, Response* response) {
   char chunk[8192];
   while (true) {
     const std::size_t header_end = buffer.find("\r\n\r\n");
@@ -94,6 +102,16 @@ bool read_response(int fd, std::string& buffer) {
       }
       const std::size_t total = header_end + 4 + body_len;
       if (buffer.size() >= total) {
+        // "HTTP/1.1 202 Accepted": the code follows the first space.
+        const std::size_t space = buffer.find(' ');
+        response->status =
+            space < header_end ? std::atoi(buffer.c_str() + space + 1) : 0;
+        // 202 and 429 bodies both say how many reports of the batch were
+        // enqueued: {"campaign": 0, "accepted": K, "rejected": N-K}.
+        const std::size_t key = buffer.find("\"accepted\":", header_end);
+        response->accepted =
+            key < total ? std::strtoul(buffer.c_str() + key + 11, nullptr, 10)
+                        : 0;
         buffer.erase(0, total);
         return true;
       }
@@ -108,7 +126,8 @@ bool read_response(int fd, std::string& buffer) {
 }
 
 struct ClientResult {
-  std::size_t accepted = 0;
+  std::size_t accepted = 0;  // reports the server said it enqueued
+  std::size_t failed = 0;    // requests answered with anything but 202
   std::size_t requests = 0;
   std::size_t bytes = 0;  // request bytes written (headers + body)
   std::vector<double> latencies_us;
@@ -154,7 +173,7 @@ std::vector<std::string> render_client_requests(std::size_t client,
 }
 
 void run_client(std::uint16_t port, const std::vector<std::string>* requests,
-                std::size_t batch, ClientResult* result) {
+                ClientResult* result) {
   const int fd = connect_loopback(port);
   if (fd < 0) {
     result->ok = false;
@@ -164,7 +183,9 @@ void run_client(std::uint16_t port, const std::vector<std::string>* requests,
   result->latencies_us.reserve(requests->size());
   for (const std::string& request : *requests) {
     const auto start = std::chrono::steady_clock::now();
-    if (!write_all(fd, request) || !read_response(fd, response_buffer)) {
+    Response response;
+    if (!write_all(fd, request) ||
+        !read_response(fd, response_buffer, &response)) {
       result->ok = false;
       break;
     }
@@ -172,7 +193,10 @@ void run_client(std::uint16_t port, const std::vector<std::string>* requests,
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - start)
             .count());
-    result->accepted += batch;
+    // A 429 still enqueued the front of its batch, so the accepted count
+    // comes from every body, not from the status alone.
+    result->accepted += response.accepted;
+    if (response.status != 202) ++result->failed;
     result->bytes += request.size();
     ++result->requests;
   }
@@ -228,6 +252,7 @@ struct LoadConfig {
 
 struct LoadResult {
   std::size_t accepted = 0;
+  std::size_t failed = 0;
   std::size_t requests = 0;
   double ingest_seconds = 0.0;
   double drain_seconds = 0.0;
@@ -292,7 +317,7 @@ LoadResult run_load(const LoadConfig& config) {
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < config.connections; ++c) {
     clients.emplace_back(run_client, server.port(), &requests[c],
-                         config.batch, &results[c]);
+                         &results[c]);
   }
   for (auto& t : clients) t.join();
   const double ingest_seconds =
@@ -310,6 +335,7 @@ LoadResult run_load(const LoadConfig& config) {
   std::vector<double> latencies;
   for (const ClientResult& r : results) {
     out.accepted += r.accepted;
+    out.failed += r.failed;
     out.requests += r.requests;
     bytes += r.bytes;
     out.ok = out.ok && r.ok;
@@ -339,7 +365,10 @@ LoadResult run_load(const LoadConfig& config) {
   out.engine_applied = counters.applied;
   out.engine_batches = counters.batches;
   // Loss anywhere (socket failure, engine mismatch) is a bench failure:
-  // every report this bench accepted over the wire must be applied.
+  // every report the server said it accepted must be applied.  Requests
+  // answered otherwise (429 backpressure) are refused, not lost: they are
+  // reported as failed_requests, and only their accepted prefix counts
+  // toward the rate.
   out.ok = out.ok && counters.applied == out.accepted;
   return out;
 }
@@ -367,14 +396,19 @@ void print_json_entry(const LoadConfig& config, const LoadResult& result,
   std::printf("      \"publish_p99_us\": %.1f,\n", result.publish_p99_us);
   std::printf("      \"decode_fast\": %llu,\n",
               static_cast<unsigned long long>(result.decode_fast));
-  std::printf("      \"decode_fallback\": %llu\n",
+  std::printf("      \"decode_fallback\": %llu,\n",
               static_cast<unsigned long long>(result.decode_fallback));
+  std::printf("      \"failed_requests\": %zu\n", result.failed);
   std::printf("    }%s\n", last ? "" : ",");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "server_load [reports_total] [connections] [batch] [--loops N] "
+      "[--sweep L1,L2,...] [--json]";
+  bench::handle_help(argc, argv, kUsage);
   LoadConfig config;
   bool json = false;
   std::vector<std::size_t> sweep_loops;
@@ -384,23 +418,32 @@ int main(int argc, char** argv) {
     if (arg == "--json") {
       json = true;
     } else if (arg == "--loops" && i + 1 < argc) {
-      config.loops = std::stoul(argv[++i]);
+      config.loops = bench::parse_count(argv[++i], kUsage, 1);
     } else if (arg == "--sweep" && i + 1 < argc) {
       std::string list = argv[++i];
       for (std::size_t begin = 0; begin <= list.size();) {
         const std::size_t comma = std::min(list.find(',', begin), list.size());
         if (comma > begin) {
-          sweep_loops.push_back(std::stoul(list.substr(begin, comma - begin)));
+          sweep_loops.push_back(bench::parse_count(
+              list.substr(begin, comma - begin).c_str(), kUsage, 1));
         }
         begin = comma + 1;
       }
+    } else if (arg.starts_with("-") || positional.size() == 3) {
+      bench::usage_error(kUsage, ("unexpected argument: " + arg).c_str());
     } else {
       positional.emplace_back(arg);
     }
   }
-  if (!positional.empty()) config.total = std::stoul(positional[0]);
-  if (positional.size() > 1) config.connections = std::stoul(positional[1]);
-  if (positional.size() > 2) config.batch = std::stoul(positional[2]);
+  if (!positional.empty()) {
+    config.total = bench::parse_count(positional[0].c_str(), kUsage, 1);
+  }
+  if (positional.size() > 1) {
+    config.connections = bench::parse_count(positional[1].c_str(), kUsage, 1);
+  }
+  if (positional.size() > 2) {
+    config.batch = bench::parse_count(positional[2].c_str(), kUsage, 1);
+  }
   if (sweep_loops.empty()) sweep_loops.push_back(config.loops);
 
   std::vector<LoadResult> results;
@@ -421,9 +464,9 @@ int main(int argc, char** argv) {
     ok = ok && result.ok;
     if (!json) {
       std::printf("accepted %zu reports in %zu requests over %.3f s "
-                  "(+%.3f s drain)\n",
+                  "(+%.3f s drain), %zu requests not accepted\n",
                   result.accepted, result.requests, result.ingest_seconds,
-                  result.drain_seconds);
+                  result.drain_seconds, result.failed);
       std::printf("sustained     %.0f reports/sec (%.1f MB/s on the wire)\n",
                   result.reports_per_sec, result.bytes_per_sec / 1e6);
       std::printf("request       p50 %.0f us, p99 %.0f us (round-trip)\n",

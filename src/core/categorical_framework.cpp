@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "core/data_grouping.h"
 #include "truth/categorical.h"
 
 namespace sybiltd::core {
@@ -11,13 +12,6 @@ namespace sybiltd::core {
 namespace {
 
 using truth::kNoLabel;
-
-// One group's presence on one task: plurality label + Eq. (4) weight.
-struct GroupDatum {
-  std::size_t group = 0;
-  std::size_t label = 0;
-  double initial_weight = 0.0;
-};
 
 std::size_t to_label(double value, std::size_t label_count) {
   const double rounded = std::round(value);
@@ -34,8 +28,6 @@ CategoricalFrameworkResult run_categorical_framework(
     const AccountGrouping& grouping,
     const CategoricalFrameworkOptions& options) {
   SYBILTD_CHECK(label_count >= 2, "need at least two labels");
-  SYBILTD_CHECK(grouping.account_count() == input.accounts.size(),
-                "grouping does not match the input accounts");
   const std::size_t n_tasks = input.task_count;
   const std::size_t n_groups = grouping.group_count();
 
@@ -44,75 +36,63 @@ CategoricalFrameworkResult run_categorical_framework(
   result.labels.assign(n_tasks, kNoLabel);
   result.group_weights.assign(n_groups, 1.0);
 
-  // --- data grouping: per (task, group) label votes -----------------------
-  std::vector<std::vector<std::vector<double>>> votes(
-      n_tasks, std::vector<std::vector<double>>(n_groups));
-  std::vector<std::size_t> submitters(n_tasks, 0);
-  for (std::size_t i = 0; i < input.accounts.size(); ++i) {
-    const std::size_t k = grouping.group_of(i);
-    for (const auto& report : input.accounts[i].reports) {
-      SYBILTD_CHECK(report.task < n_tasks, "report task out of range");
-      if (votes[report.task][k].empty()) {
-        votes[report.task][k].assign(label_count, 0.0);
-      }
-      votes[report.task][k][to_label(report.value, label_count)] += 1.0;
-      ++submitters[report.task];
+  // --- data grouping: the numeric framework's table, one cell per
+  // (task, group) holding the group's plurality label (ties to the lowest
+  // label) and the Eq. (4) weight over the members who voted --------------
+  std::vector<double> votes(label_count);
+  const CellAggregate plurality = [&](std::span<const double> values) {
+    std::fill(votes.begin(), votes.end(), 0.0);
+    for (double v : values) votes[to_label(v, label_count)] += 1.0;
+    std::size_t best = 0;
+    for (std::size_t l = 0; l < label_count; ++l) {
+      if (votes[l] > votes[best]) best = l;
     }
-  }
-
-  std::vector<std::vector<GroupDatum>> per_task(n_tasks);
-  std::vector<std::vector<std::size_t>> tasks_of_group(n_groups);
-  for (std::size_t j = 0; j < n_tasks; ++j) {
-    for (std::size_t k = 0; k < n_groups; ++k) {
-      if (votes[j][k].empty()) continue;
-      GroupDatum datum;
-      datum.group = k;
-      double members = 0.0;
-      std::size_t best = 0;
-      for (std::size_t l = 0; l < label_count; ++l) {
-        members += votes[j][k][l];
-        if (votes[j][k][l] > votes[j][k][best]) best = l;
-      }
-      datum.label = best;
-      const double w =
-          1.0 - members / static_cast<double>(submitters[j]);  // Eq. (4)
-      datum.initial_weight = std::max(w, options.weight_floor);
-      per_task[j].push_back(datum);
-      tasks_of_group[k].push_back(j);
-    }
-  }
+    return static_cast<double>(best);
+  };
+  DataGroupingOptions eq4;
+  eq4.size_from_task_participants = true;
+  eq4.weight_floor = options.weight_floor;
+  GroupedData grouped;
+  group_data(input, grouping, eq4, plurality, grouped);
+  const auto label_of = [&](std::size_t c) {
+    return static_cast<std::size_t>(grouped.values[c]);
+  };
 
   // --- initialization: Eq. (4)-weighted plurality over groups -------------
+  std::vector<double> tally(label_count);
   for (std::size_t j = 0; j < n_tasks; ++j) {
-    if (per_task[j].empty()) continue;
-    std::vector<double> tally(label_count, 0.0);
-    for (const auto& datum : per_task[j]) {
-      tally[datum.label] += options.init_with_eq4 ? datum.initial_weight
-                                                  : 1.0;
+    if (grouped.task_size(j) == 0) continue;
+    std::fill(tally.begin(), tally.end(), 0.0);
+    for (std::size_t c = grouped.task_offsets[j];
+         c < grouped.task_offsets[j + 1]; ++c) {
+      tally[label_of(c)] +=
+          options.init_with_eq4 ? grouped.initial_weights[c] : 1.0;
     }
     result.labels[j] = static_cast<std::size_t>(
         std::max_element(tally.begin(), tally.end()) - tally.begin());
   }
 
   // --- iterations -----------------------------------------------------------
+  std::vector<double> errors(n_groups);
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
     // Group weights from 0/1 losses of the group aggregates.
-    std::vector<double> errors(n_groups, 0.0);
+    std::fill(errors.begin(), errors.end(), 0.0);
     double total = 0.0;
     for (std::size_t j = 0; j < n_tasks; ++j) {
       if (result.labels[j] == kNoLabel) continue;
-      for (const auto& datum : per_task[j]) {
-        if (datum.label != result.labels[j]) errors[datum.group] += 1.0;
+      for (std::size_t c = grouped.task_offsets[j];
+           c < grouped.task_offsets[j + 1]; ++c) {
+        if (label_of(c) != result.labels[j]) errors[grouped.groups[c]] += 1.0;
       }
     }
     for (std::size_t k = 0; k < n_groups; ++k) {
-      if (tasks_of_group[k].empty()) continue;
+      if (grouped.group_task_counts[k] == 0) continue;
       errors[k] = std::max(errors[k], options.error_epsilon);
       total += errors[k];
     }
     for (std::size_t k = 0; k < n_groups; ++k) {
-      if (tasks_of_group[k].empty()) {
+      if (grouped.group_task_counts[k] == 0) {
         result.group_weights[k] = 0.0;
       } else {
         result.group_weights[k] = std::log(total / errors[k]);
@@ -122,10 +102,11 @@ CategoricalFrameworkResult run_categorical_framework(
     // Weighted plurality over groups.
     bool changed = false;
     for (std::size_t j = 0; j < n_tasks; ++j) {
-      if (per_task[j].empty()) continue;
-      std::vector<double> tally(label_count, 0.0);
-      for (const auto& datum : per_task[j]) {
-        tally[datum.label] += result.group_weights[datum.group];
+      if (grouped.task_size(j) == 0) continue;
+      std::fill(tally.begin(), tally.end(), 0.0);
+      for (std::size_t c = grouped.task_offsets[j];
+           c < grouped.task_offsets[j + 1]; ++c) {
+        tally[label_of(c)] += result.group_weights[grouped.groups[c]];
       }
       const auto next = static_cast<std::size_t>(
           std::max_element(tally.begin(), tally.end()) - tally.begin());

@@ -28,6 +28,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/framework_input.h"
@@ -54,27 +56,30 @@ struct DataGroupingOptions {
   double weight_floor = 1e-3;
 };
 
-// One group's presence on one task.
-struct GroupTaskDatum {
-  std::size_t group = 0;
-  double value = 0.0;          // d~_j^k from Eq. (3)
-  double initial_weight = 0.0; // Eq. (4), used by the Eq. (5) initialization
-  std::size_t member_count = 0;  // members of the group reporting this task
-};
-
+// The grouped view of a campaign: one compressed per-task table.
+//
+// Cell c of task j, for c in [task_offsets[j], task_offsets[j + 1]), is one
+// group's presence on that task; the cells of a task are sorted by group
+// ascending.  The per-cell fields are parallel arrays, so a task's values
+// and group ids are contiguous slices the SIMD kernels read directly.
 struct GroupedData {
-  // per_task[j] lists the groups reporting task j with their aggregates.
-  std::vector<std::vector<GroupTaskDatum>> per_task;
-  // tasks_of_group[k] = sorted task ids the group covers (T~_k).
-  std::vector<std::vector<std::size_t>> tasks_of_group;
-  // Structure-of-arrays mirrors of per_task for the contiguous SIMD
-  // kernels: per_task_values[j][i] == per_task[j][i].value and
-  // per_task_groups[j][i] == per_task[j][i].group.  group_data fills
-  // them; build_soa() rebuilds them after manual edits to per_task.
-  std::vector<std::vector<double>> per_task_values;
-  std::vector<std::vector<std::uint32_t>> per_task_groups;
+  std::vector<std::size_t> task_offsets;      // n_tasks + 1 entries
+  std::vector<std::uint32_t> groups;          // group id k
+  std::vector<double> values;                 // d~_j^k from Eq. (3)
+  std::vector<double> initial_weights;        // Eq. (4), seeds Eq. (5)
+  std::vector<std::uint32_t> member_counts;   // members reporting task j
+  // group_task_counts[k] = |T~_k|, the number of tasks group k covers.
+  std::vector<std::uint32_t> group_task_counts;
 
-  void build_soa();
+  std::size_t task_count() const {
+    return task_offsets.empty() ? 0 : task_offsets.size() - 1;
+  }
+  std::size_t group_count() const { return group_task_counts.size(); }
+  std::size_t cell_count() const { return values.size(); }
+  // Number of groups reporting task j.
+  std::size_t task_size(std::size_t j) const {
+    return task_offsets[j + 1] - task_offsets[j];
+  }
 };
 
 // Aggregate values with the configured intra-group aggregator.
@@ -82,9 +87,24 @@ double aggregate_group_values(const std::vector<double>& values,
                               const DataGroupingOptions& options);
 
 // Build the grouped view of the input under a grouping (Algorithm 2,
-// lines 2–6).
+// lines 2–6).  Two stable counting sorts order every report by (task,
+// group) — O(reports + tasks + groups) time and memory — and each run is
+// one cell.  A cell's values keep account order, so every aggregate is
+// the one the values of that (task, group) pair would give in isolation.
 GroupedData group_data(const FrameworkInput& input,
                        const AccountGrouping& grouping,
                        const DataGroupingOptions& options = {});
+
+// The same build into an existing table, reusing its capacity.
+void group_data(const FrameworkInput& input, const AccountGrouping& grouping,
+                const DataGroupingOptions& options, GroupedData& out);
+
+// The same build with a caller-supplied cell aggregate in place of
+// options.aggregate; Eq. (4) still follows `options`.  The categorical
+// framework passes its plurality label here.
+using CellAggregate = std::function<double(std::span<const double>)>;
+void group_data(const FrameworkInput& input, const AccountGrouping& grouping,
+                const DataGroupingOptions& options,
+                const CellAggregate& aggregate, GroupedData& out);
 
 }  // namespace sybiltd::core

@@ -113,6 +113,7 @@ CampaignState::CampaignState(std::size_t campaign, std::size_t task_count,
       truths_(task_count, nan_value()),
       label_(std::to_string(campaign)) {
   SYBILTD_CHECK(task_count_ > 0, "campaign needs at least one task");
+  store_.task_count = task_count_;
   auto& metrics = PipelineMetrics::get();
   ingest_to_apply_hist_ = &metrics.ingest_to_apply_us.at(label_);
   ingest_to_publish_hist_ = &metrics.ingest_to_publish_us.at(label_);
@@ -132,8 +133,8 @@ std::uint32_t& CampaignState::pair_alone(std::size_t i, std::size_t j) {
 }
 
 void CampaignState::mark_dirty(std::size_t account) {
-  if (dirty_account_.size() < observations_.size()) {
-    dirty_account_.resize(observations_.size(), 0);
+  if (dirty_account_.size() < store_.accounts.size()) {
+    dirty_account_.resize(store_.accounts.size(), 0);
   }
   if (!dirty_account_[account]) {
     dirty_account_[account] = 1;
@@ -142,9 +143,10 @@ void CampaignState::mark_dirty(std::size_t account) {
 }
 
 void CampaignState::ensure_account(std::size_t account) {
-  while (observations_.size() <= account) {
-    const std::size_t n = observations_.size();
-    observations_.emplace_back();
+  while (store_.accounts.size() <= account) {
+    const std::size_t n = store_.accounts.size();
+    store_.accounts.emplace_back();
+    born_.emplace_back();
     has_task_.emplace_back(task_count_, false);
     // A fresh account's task set is empty: T_ij = 0 and L_ij = |T_j| for
     // every existing account j.
@@ -161,7 +163,7 @@ void CampaignState::ensure_account(std::size_t account) {
 void CampaignState::add_membership(std::size_t account, std::size_t task) {
   has_task_[account][task] = true;
   ++tasks_of_account_[account];
-  const std::size_t n = observations_.size();
+  const std::size_t n = store_.accounts.size();
   for (std::size_t j = 0; j < n; ++j) {
     if (j == account) continue;
     if (has_task_[j][task]) {
@@ -180,7 +182,7 @@ void CampaignState::add_membership(std::size_t account, std::size_t task) {
 void CampaignState::remove_membership(std::size_t account, std::size_t task) {
   has_task_[account][task] = false;
   --tasks_of_account_[account];
-  const std::size_t n = observations_.size();
+  const std::size_t n = store_.accounts.size();
   for (std::size_t j = 0; j < n; ++j) {
     if (j == account) continue;
     if (has_task_[j][task]) {
@@ -199,18 +201,22 @@ void CampaignState::apply(const Report& report) {
   ensure_account(report.account);
   ++step_;
   ++applied_;
-  auto& row = observations_[report.account];
-  auto it = std::lower_bound(
+  auto& row = store_.accounts[report.account].reports;
+  auto& born = born_[report.account];
+  const auto it = std::lower_bound(
       row.begin(), row.end(), report.task,
-      [](const Slot& slot, std::size_t task) { return slot.task < task; });
+      [](const core::AccountObservation& slot, std::size_t task) {
+        return slot.task < task;
+      });
+  const std::size_t at = static_cast<std::size_t>(it - row.begin());
   if (it != row.end() && it->task == report.task) {
     // Re-submission: last write wins, influence age resets.
     it->value = report.value;
     it->timestamp_hours = report.timestamp_hours;
-    it->born = step_;
+    born[at] = step_;
   } else {
-    row.insert(it, Slot{report.task, report.value, report.timestamp_hours,
-                        step_});
+    row.insert(it, {report.task, report.value, report.timestamp_hours});
+    born.insert(born.begin() + static_cast<std::ptrdiff_t>(at), step_);
     ++live_;
     add_membership(report.account, report.task);
   }
@@ -221,21 +227,23 @@ void CampaignState::apply(const Report& report) {
 
 void CampaignState::evict_stale() {
   if (options_->decay >= 1.0) return;
-  const std::size_t n = observations_.size();
+  const std::size_t n = store_.accounts.size();
   std::uint64_t evicted = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    auto& row = observations_[i];
-    for (auto it = row.begin(); it != row.end();) {
-      const double age = static_cast<double>(step_ - it->born);
+    auto& row = store_.accounts[i].reports;
+    auto& born = born_[i];
+    for (std::size_t r = 0; r < row.size();) {
+      const double age = static_cast<double>(step_ - born[r]);
       if (std::pow(options_->decay, age) < options_->influence_floor) {
-        remove_membership(i, it->task);
-        it = row.erase(it);
+        remove_membership(i, row[r].task);
+        row.erase(row.begin() + static_cast<std::ptrdiff_t>(r));
+        born.erase(born.begin() + static_cast<std::ptrdiff_t>(r));
         --live_;
         ++evicted;
         counters_->evictions.fetch_add(1, std::memory_order_relaxed);
         PipelineMetrics::get().evictions.inc();
       } else {
-        ++it;
+        ++r;
       }
     }
   }
@@ -252,7 +260,7 @@ const core::AccountGrouping& CampaignState::grouping() {
   if (!grouping_dirty_) return grouping_;
   obs::TraceSpan span("campaign/regroup");
   span.arg("campaign", static_cast<double>(campaign_));
-  const std::size_t n = observations_.size();
+  const std::size_t n = store_.accounts.size();
   span.arg("accounts", static_cast<double>(n));
   auto& metrics = PipelineMetrics::get();
   if (n == 0) {
@@ -306,7 +314,7 @@ const core::AccountGrouping& CampaignState::grouping() {
 }
 
 std::vector<std::vector<double>> CampaignState::affinity_matrix() const {
-  const std::size_t n = observations_.size();
+  const std::size_t n = store_.accounts.size();
   std::vector<std::vector<double>> matrix(n, std::vector<double>(n, 0.0));
   for (std::size_t i = 1; i < n; ++i) {
     for (std::size_t j = 0; j < i; ++j) {
@@ -319,25 +327,10 @@ std::vector<std::vector<double>> CampaignState::affinity_matrix() const {
   return matrix;
 }
 
-core::FrameworkInput CampaignState::as_framework_input() const {
-  core::FrameworkInput view;
-  view.task_count = task_count_;
-  view.accounts.resize(observations_.size());
-  for (std::size_t i = 0; i < observations_.size(); ++i) {
-    auto& reports = view.accounts[i].reports;
-    reports.reserve(observations_[i].size());
-    for (const Slot& slot : observations_[i]) {
-      reports.push_back({slot.task, slot.value, slot.timestamp_hours});
-    }
-  }
-  return view;
-}
-
 void CampaignState::refine_and_publish(bool to_convergence) {
   obs::TraceSpan span("campaign/refine");
   span.arg("campaign", static_cast<double>(campaign_));
   const core::AccountGrouping& current = grouping();
-  const core::FrameworkInput view = as_framework_input();
   std::size_t iterations = 0;
   bool converged = false;
   double final_residual = 0.0;
@@ -346,19 +339,19 @@ void CampaignState::refine_and_publish(bool to_convergence) {
     // The drain path *is* the batch path: identical grouped data through
     // identical code, so a drained campaign equals core::run_framework.
     core::FrameworkResult result =
-        core::run_framework(view, current, options_->framework);
+        core::run_framework(store_, current, options_->framework);
     truths_ = std::move(result.truths);
     group_weights_ = std::move(result.group_weights);
     iterations = result.iterations;
     converged = result.converged;
     final_residual = result.final_residual;
   } else {
-    const core::GroupedData grouped =
-        core::group_data(view, current, options_->framework.data_grouping);
+    core::group_data(store_, current, options_->framework.data_grouping,
+                     grouped_);
     const std::vector<double> norm =
-        core::framework_task_normalizers(grouped, task_count_);
+        core::framework_task_normalizers(grouped_, task_count_);
     const std::vector<double> init = core::framework_initial_truths(
-        grouped, task_count_, options_->framework.init_with_eq5);
+        grouped_, task_count_, options_->framework.init_with_eq5);
     // Warm start: keep converged truths, seed newly-covered tasks with the
     // Eq. (5) initializer.
     for (std::size_t j = 0; j < task_count_; ++j) {
@@ -367,7 +360,7 @@ void CampaignState::refine_and_publish(bool to_convergence) {
     for (std::size_t k = 0; k < options_->refine_iterations; ++k) {
       ++iterations;
       const double delta = core::framework_iterate_once(
-          grouped, norm, options_->framework.loss_epsilon, truths_,
+          grouped_, norm, options_->framework.loss_epsilon, truths_,
           group_weights_);
       final_residual = delta;
       if (delta < options_->framework.convergence.truth_tolerance) {

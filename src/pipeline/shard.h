@@ -5,9 +5,11 @@
 // keeps an incremental mirror of exactly the state the batch framework
 // derives from scratch:
 //
-//   * an observation store (per account, sorted by task; last write wins,
-//     so re-submissions update in place as the paper's one-report-per-task
-//     rule implies),
+//   * an observation store: a core::FrameworkInput the campaign owns (per
+//     account, reports sorted by task; last write wins, so re-submissions
+//     update in place as the paper's one-report-per-task rule implies),
+//     with each report's arrival step kept beside it for decay; the batch
+//     framework reads the store as it is, with no copy,
 //   * AG-TS pair statistics — for every account pair the counts T_ij
 //     (tasks both did) and L_ij (tasks either did alone) that Eq. (6)
 //     combines into the affinity.  Applying a report touches one row of
@@ -16,9 +18,10 @@
 //   * the connected-component grouping over the affinity > rho graph,
 //     rebuilt lazily (union-find over the pair counts) only when some
 //     report changed a task-set membership,
-//   * warm CRH truth state at the group granularity, refined a few
-//     iterations per micro-batch the way truth::OnlineCrh refines per
-//     observation.
+//   * the grouped table (Eqs. 3-4), rebuilt in place per micro-batch so
+//     warm batches reuse its capacity, and warm CRH truth state at the
+//     group granularity, refined a few iterations per micro-batch the way
+//     truth::OnlineCrh refines per observation.
 //
 // Forgetting follows OnlineCrh semantics lifted to the grouped setting:
 // each observation records its arrival step; once its influence
@@ -108,7 +111,7 @@ class CampaignState {
 
   std::size_t campaign() const { return campaign_; }
   std::size_t task_count() const { return task_count_; }
-  std::size_t account_count() const { return observations_.size(); }
+  std::size_t account_count() const { return store_.accounts.size(); }
   std::size_t live_observations() const { return live_; }
   std::uint64_t applied_reports() const { return applied_; }
 
@@ -132,17 +135,7 @@ class CampaignState {
   // matches core::AgTs::affinity_matrix on the same data (tested).
   std::vector<std::vector<double>> affinity_matrix() const;
 
-  // Reconstruct the batch-framework view of the live observations.
-  core::FrameworkInput as_framework_input() const;
-
  private:
-  struct Slot {
-    std::size_t task = 0;
-    double value = 0.0;
-    double timestamp_hours = 0.0;
-    std::uint64_t born = 0;  // arrival step, for decay
-  };
-
   void ensure_account(std::size_t account);
   void add_membership(std::size_t account, std::size_t task);
   void remove_membership(std::size_t account, std::size_t task);
@@ -156,8 +149,10 @@ class CampaignState {
   SnapshotCell* cell_;
   ShardCounters* counters_;
 
-  // Per-account observations sorted by task (at most one slot per task).
-  std::vector<std::vector<Slot>> observations_;
+  // Per-account observations sorted by task (at most one per task), and
+  // born_[i][r] = arrival step of store_.accounts[i].reports[r].
+  core::FrameworkInput store_;
+  std::vector<std::vector<std::uint64_t>> born_;
   // Per-account task membership bitmap and |T_i| counts.
   std::vector<std::vector<bool>> has_task_;
   std::vector<std::uint32_t> tasks_of_account_;
@@ -176,6 +171,7 @@ class CampaignState {
   graph::IncrementalComponents components_;
   std::uint64_t component_rebuilds_seen_ = 0;
 
+  core::GroupedData grouped_;          // rebuilt per micro-batch
   std::vector<double> truths_;         // warm CRH state, per task
   std::vector<double> group_weights_;  // last iterated weights, per group
 

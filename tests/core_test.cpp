@@ -3,9 +3,11 @@
 // and the full framework (Algorithm 2).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 
+#include "common/rng.h"
 #include "core/ag_fp.h"
 #include "core/ag_tr.h"
 #include "core/ag_ts.h"
@@ -306,14 +308,27 @@ TEST(DataGrouping, Eq4WeightsFavorSmallGroups) {
                               {{0, -70.0, 0.2}}});
   const AccountGrouping grouping({{0, 1}, {2}}, 3);
   const GroupedData grouped = group_data(input, grouping);
-  ASSERT_EQ(grouped.per_task[0].size(), 2u);
-  const auto& sybil = grouped.per_task[0][0];
-  const auto& legit = grouped.per_task[0][1];
-  EXPECT_EQ(sybil.group, 0u);
-  EXPECT_NEAR(sybil.value, -50.0, 1e-9);
-  EXPECT_NEAR(sybil.initial_weight, 1.0 - 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(legit.initial_weight, 1.0 - 1.0 / 3.0, 1e-12);
-  EXPECT_GT(legit.initial_weight, sybil.initial_weight);
+  ASSERT_EQ(grouped.task_size(0), 2u);
+  const std::size_t sybil = grouped.task_offsets[0];
+  const std::size_t legit = sybil + 1;
+  EXPECT_EQ(grouped.groups[sybil], 0u);
+  EXPECT_NEAR(grouped.values[sybil], -50.0, 1e-9);
+  EXPECT_NEAR(grouped.initial_weights[sybil], 1.0 - 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(grouped.initial_weights[legit], 1.0 - 1.0 / 3.0, 1e-12);
+  EXPECT_GT(grouped.initial_weights[legit], grouped.initial_weights[sybil]);
+}
+
+// Sorted task ids group k covers (T~_k), read back from the table.
+std::vector<std::size_t> tasks_of_group(const GroupedData& grouped,
+                                        std::size_t k) {
+  std::vector<std::size_t> tasks;
+  for (std::size_t j = 0; j < grouped.task_count(); ++j) {
+    for (std::size_t c = grouped.task_offsets[j];
+         c < grouped.task_offsets[j + 1]; ++c) {
+      if (grouped.groups[c] == k) tasks.push_back(j);
+    }
+  }
+  return tasks;
 }
 
 TEST(DataGrouping, TasksOfGroupTracksCoverage) {
@@ -321,8 +336,10 @@ TEST(DataGrouping, TasksOfGroupTracksCoverage) {
                               {{1, 2.0, 0.0}}});
   const AccountGrouping grouping({{0}, {1}}, 2);
   const GroupedData grouped = group_data(input, grouping);
-  EXPECT_EQ(grouped.tasks_of_group[0], (std::vector<std::size_t>{0, 2}));
-  EXPECT_EQ(grouped.tasks_of_group[1], (std::vector<std::size_t>{1}));
+  EXPECT_EQ(tasks_of_group(grouped, 0), (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(tasks_of_group(grouped, 1), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(grouped.group_task_counts,
+            (std::vector<std::uint32_t>{2, 1}));
 }
 
 TEST(DataGrouping, LiteralGroupSizeModeClampsAtFloor) {
@@ -333,8 +350,163 @@ TEST(DataGrouping, LiteralGroupSizeModeClampsAtFloor) {
   DataGroupingOptions opt;
   opt.size_from_task_participants = false;
   const GroupedData grouped = group_data(input, grouping, opt);
-  EXPECT_NEAR(grouped.per_task[0][0].initial_weight, opt.weight_floor,
-              1e-12);
+  EXPECT_NEAR(grouped.initial_weights[grouped.task_offsets[0]],
+              opt.weight_floor, 1e-12);
+}
+
+TEST(DataGrouping, RebuildReusesTableCapacity) {
+  auto input = make_input(2, {{{0, 1.0, 0.0}, {1, 2.0, 0.1}},
+                              {{0, 3.0, 0.0}},
+                              {{1, 4.0, 0.2}}});
+  const AccountGrouping grouping({{0, 2}, {1}}, 3);
+  GroupedData table;
+  group_data(input, grouping, {}, table);
+  const double* values = table.values.data();
+  const std::uint32_t* groups = table.groups.data();
+  input.accounts[1].reports[0].value = 5.0;  // an upsert
+  group_data(input, grouping, {}, table);
+  EXPECT_EQ(table.values.data(), values);
+  EXPECT_EQ(table.groups.data(), groups);
+  EXPECT_EQ(table.values[table.task_offsets[0] + 1], 5.0);
+}
+
+// --- group_data vs a naive reference ----------------------------------------
+
+// The reference keeps one value list per (task, group) in account order and
+// aggregates each on its own, the way the table's cells are defined.
+struct ReferenceCell {
+  std::size_t group = 0;
+  double value = 0.0;
+  double initial_weight = 0.0;
+  std::size_t members = 0;
+};
+
+std::vector<std::vector<ReferenceCell>> reference_group_data(
+    const FrameworkInput& input, const AccountGrouping& grouping,
+    const DataGroupingOptions& options) {
+  const std::size_t n_tasks = input.task_count;
+  const std::size_t n_groups = grouping.group_count();
+  std::vector<std::vector<std::vector<double>>> values(
+      n_tasks, std::vector<std::vector<double>>(n_groups));
+  std::vector<std::size_t> submitters(n_tasks, 0);
+  for (std::size_t i = 0; i < input.accounts.size(); ++i) {
+    for (const auto& report : input.accounts[i].reports) {
+      values[report.task][grouping.group_of(i)].push_back(report.value);
+      ++submitters[report.task];
+    }
+  }
+  std::vector<std::vector<ReferenceCell>> cells(n_tasks);
+  for (std::size_t j = 0; j < n_tasks; ++j) {
+    for (std::size_t k = 0; k < n_groups; ++k) {
+      if (values[j][k].empty()) continue;
+      const double size = options.size_from_task_participants
+                              ? static_cast<double>(values[j][k].size())
+                              : static_cast<double>(grouping.group(k).size());
+      const double w = 1.0 - size / static_cast<double>(submitters[j]);
+      cells[j].push_back({k, aggregate_group_values(values[j][k], options),
+                          std::max(w, options.weight_floor),
+                          values[j][k].size()});
+    }
+  }
+  return cells;
+}
+
+// Random campaign: some accounts report nothing, the last task is never
+// reported, duplicate values are common, and each account's reports come in
+// a shuffled task order.
+FrameworkInput random_campaign(Rng& rng, std::size_t accounts) {
+  FrameworkInput input;
+  input.task_count = 2 + rng.uniform_index(10);
+  for (std::size_t i = 0; i < accounts; ++i) {
+    AccountTrace trace;
+    if (!rng.bernoulli(0.2)) {
+      std::vector<std::size_t> tasks(input.task_count - 1);
+      for (std::size_t j = 0; j < tasks.size(); ++j) tasks[j] = j;
+      rng.shuffle(tasks);
+      tasks.resize(1 + rng.uniform_index(tasks.size()));
+      for (std::size_t j : tasks) {
+        const double value = rng.bernoulli(0.3)
+                                 ? -60.0
+                                 : rng.uniform(-90.0, -40.0);
+        trace.reports.push_back({j, value, static_cast<double>(j)});
+      }
+    }
+    input.accounts.push_back(std::move(trace));
+  }
+  return input;
+}
+
+// Random partition whose member lists are shuffled, so account order inside
+// a cell cannot come from the grouping's own order.
+AccountGrouping random_grouping(Rng& rng, std::size_t accounts) {
+  const std::size_t n_groups = 1 + rng.uniform_index(accounts);
+  std::vector<std::vector<std::size_t>> groups(n_groups);
+  for (std::size_t k = 0; k < n_groups && k < accounts; ++k) groups[k] = {k};
+  for (std::size_t i = n_groups; i < accounts; ++i) {
+    groups[rng.uniform_index(n_groups)].push_back(i);
+  }
+  for (auto& members : groups) rng.shuffle(members);
+  rng.shuffle(groups);
+  return AccountGrouping(std::move(groups), accounts);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(DataGrouping, MatchesNaiveReferenceBitwise) {
+  const GroupAggregate aggregates[] = {
+      GroupAggregate::kInverseDeviation, GroupAggregate::kMean,
+      GroupAggregate::kMedian, GroupAggregate::kTrimmedMean,
+      GroupAggregate::kHuber};
+  GroupedData reused;  // rebuilt in place across every configuration
+  std::size_t configurations = 0;
+  for (const std::size_t accounts : {1, 18, 1300}) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      Rng rng(1000 * accounts + seed);
+      const FrameworkInput input = random_campaign(rng, accounts);
+      const AccountGrouping grouping = random_grouping(rng, accounts);
+      for (const GroupAggregate aggregate : aggregates) {
+        for (const bool participants : {true, false}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "accounts=" << accounts << " seed=" << seed
+                       << " aggregate=" << static_cast<int>(aggregate)
+                       << " participants=" << participants);
+          DataGroupingOptions options;
+          options.aggregate = aggregate;
+          options.size_from_task_participants = participants;
+          const auto expected =
+              reference_group_data(input, grouping, options);
+          group_data(input, grouping, options, reused);
+          const GroupedData fresh = group_data(input, grouping, options);
+          for (const GroupedData* table :
+               std::initializer_list<const GroupedData*>{&reused, &fresh}) {
+            ASSERT_EQ(table->task_count(), input.task_count);
+            ASSERT_EQ(table->group_count(), grouping.group_count());
+            ASSERT_EQ(table->task_offsets[0], 0u);
+            std::vector<std::uint32_t> covered(grouping.group_count(), 0);
+            for (std::size_t j = 0; j < input.task_count; ++j) {
+              ASSERT_EQ(table->task_size(j), expected[j].size());
+              for (std::size_t i = 0; i < expected[j].size(); ++i) {
+                const std::size_t c = table->task_offsets[j] + i;
+                const ReferenceCell& want = expected[j][i];
+                EXPECT_EQ(table->groups[c], want.group);
+                EXPECT_EQ(bits(table->values[c]), bits(want.value));
+                EXPECT_EQ(bits(table->initial_weights[c]),
+                          bits(want.initial_weight));
+                EXPECT_EQ(table->member_counts[c], want.members);
+                ++covered[want.group];
+              }
+            }
+            EXPECT_EQ(table->task_size(input.task_count - 1), 0u);
+            EXPECT_EQ(table->cell_count(),
+                      table->task_offsets[input.task_count]);
+            EXPECT_EQ(table->group_task_counts, covered);
+          }
+          ++configurations;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(configurations, 120u);
 }
 
 // --- Framework (Algorithm 2) ------------------------------------------------
