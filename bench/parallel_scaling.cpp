@@ -2,9 +2,9 @@
 //
 // Runs the three groupers and the end-to-end framework on one 200-account
 // Attack-I scenario at 1/2/4/8 threads, reporting wall time, speedup over
-// the single-threaded run, and the AG-TR lower-bound prune rate.  The
-// single-threaded run takes the pool's serial fallback, so it doubles as
-// the "no pool" baseline.
+// the single-threaded run, and the AG-TR prune rate (blocking plus
+// cascade).  The single-threaded run takes the pool's serial fallback, so
+// it doubles as the "no pool" baseline.
 //
 // Determinism gate: at every thread count the groupings must be *identical*
 // to the serial labels and the framework truths must match to 1e-12 (they
@@ -98,52 +98,38 @@ int main(int argc, char** argv) {
   const auto input = eval::to_framework_input(data);
   const std::size_t accounts = input.accounts.size();
 
-  core::AgTrOptions tr_exact;
-  core::AgTrOptions tr_pruned;
-  tr_pruned.prune_with_lower_bound = true;
-
-  std::vector<KernelRow> rows = {{"AG-TR (exact DTW)"},
-                                 {"AG-TR (LB-pruned)"},
-                                 {"AG-TS"},
-                                 {"AG-FP"},
-                                 {"framework (TD-TR)"}};
-  core::AgTrStats pruned_stats;
+  std::vector<KernelRow> rows = {
+      {"AG-TR"}, {"AG-TS"}, {"AG-FP"}, {"framework (TD-TR)"}};
+  core::AgTrStats tr_stats;
 
   // Serial reference outputs, captured at concurrency 1.
-  std::vector<std::size_t> ref_exact, ref_pruned, ref_ts, ref_fp;
+  std::vector<std::size_t> ref_tr, ref_ts, ref_fp;
   std::vector<double> ref_truths;
 
   bool identical = true;
   for (std::size_t t = 0; t < std::size(kThreadCounts); ++t) {
     ThreadPool::set_global_concurrency(kThreadCounts[t]);
 
-    core::AccountGrouping exact = core::AccountGrouping::singletons(0);
-    core::AccountGrouping pruned = core::AccountGrouping::singletons(0);
+    core::AccountGrouping tr = core::AccountGrouping::singletons(0);
     core::AccountGrouping ts = core::AccountGrouping::singletons(0);
     core::AccountGrouping fp = core::AccountGrouping::singletons(0);
     std::vector<double> truths;
 
     rows[0].ms[t] = best_ms(
-        [&] { exact = core::AgTr(tr_exact).group(input); });
-    rows[1].ms[t] = best_ms([&] {
-      pruned =
-          core::AgTr(tr_pruned).group_with_stats(input, &pruned_stats);
-    });
-    rows[2].ms[t] = best_ms([&] { ts = core::AgTs().group(input); });
-    rows[3].ms[t] = best_ms([&] { fp = core::AgFp().group(input); });
-    rows[4].ms[t] = best_ms(
-        [&] { truths = core::run_framework(input, pruned).truths; });
+        [&] { tr = core::AgTr().group_with_stats(input, &tr_stats); });
+    rows[1].ms[t] = best_ms([&] { ts = core::AgTs().group(input); });
+    rows[2].ms[t] = best_ms([&] { fp = core::AgFp().group(input); });
+    rows[3].ms[t] = best_ms(
+        [&] { truths = core::run_framework(input, tr).truths; });
 
     if (t == 0) {
-      ref_exact = exact.labels();
-      ref_pruned = pruned.labels();
+      ref_tr = tr.labels();
       ref_ts = ts.labels();
       ref_fp = fp.labels();
       ref_truths = truths;
     } else {
-      identical = identical && exact.labels() == ref_exact &&
-                  pruned.labels() == ref_pruned && ts.labels() == ref_ts &&
-                  fp.labels() == ref_fp &&
+      identical = identical && tr.labels() == ref_tr &&
+                  ts.labels() == ref_ts && fp.labels() == ref_fp &&
                   truths.size() == ref_truths.size();
       for (std::size_t j = 0; identical && j < truths.size(); ++j) {
         const double diff = truths[j] - ref_truths[j];
@@ -155,10 +141,10 @@ int main(int argc, char** argv) {
   ThreadPool::set_global_concurrency(ThreadPool::configured_concurrency());
 
   const double prune_rate =
-      pruned_stats.pairs > 0
-          ? static_cast<double>(pruned_stats.lb_pruned +
-                                pruned_stats.task_abandoned) /
-                static_cast<double>(pruned_stats.pairs)
+      tr_stats.pairs > 0
+          ? static_cast<double>(tr_stats.blocked + tr_stats.lb_pruned +
+                                tr_stats.task_abandoned) /
+                static_cast<double>(tr_stats.pairs)
           : 0.0;
 
   if (json) {
@@ -220,12 +206,13 @@ int main(int argc, char** argv) {
     }
     std::printf("%s", table.render().c_str());
   }
-  std::printf("\nAG-TR lower-bound prefilter: %zu of %zu pairs excluded "
-              "by the bound,\n%zu more after the task-series DTW alone "
-              "(prune rate %.1f%%; %zu exact pairs).\n",
-              pruned_stats.lb_pruned, pruned_stats.pairs,
-              pruned_stats.task_abandoned, 100.0 * prune_rate,
-              pruned_stats.exact_pairs);
+  std::printf("\nAG-TR pruning: of %zu pairs, %zu blocked by the endpoint "
+              "grid, %zu excluded\nby the cascade's lower bounds, %zu more "
+              "after the task-series DTW alone\n(prune rate %.1f%%; %zu "
+              "exact pairs).\n",
+              tr_stats.pairs, tr_stats.blocked, tr_stats.lb_pruned,
+              tr_stats.task_abandoned, 100.0 * prune_rate,
+              tr_stats.exact_pairs);
   std::printf("Determinism: groupings and truths at 2/4/8 threads %s the "
               "serial run.\n",
               identical ? "match" : "DO NOT match");

@@ -4,8 +4,8 @@
 // sub-quadratic candidate-generation paths (src/candidate/) against the
 // all-pairs baselines they replace:
 //
-//   AG-TR   endpoint-grid blocking + lower-bound cascade  vs  all-pairs
-//           with the single-shot LB prefilter (the pre-candidate best),
+//   AG-TR   endpoint-grid blocking + lower-bound cascade  vs  the same
+//           cascade over every pair (no blocking),
 //   AG-TS   signature collapse + MinHash set join          vs  an exact
 //           bitset-popcount sweep over every pair.
 //
@@ -21,9 +21,6 @@
 //                                   bench/compare_bench.py (BENCH_grouping)
 //   scalability --smoke [n]         CI gate: candidates prune > 90% of
 //                                   pairs and recall == 1.0 at n (5000)
-//   scalability --strategies [max]  the original small-scale AG-TR
-//                                   strategy comparison (exact / lb-pruned
-//                                   / fastdtw)
 //   scalability --all-pairs-cap N   largest n that runs exact baselines
 #include <algorithm>
 #include <chrono>
@@ -34,15 +31,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "candidate/cascade.h"
+#include "candidate/features.h"
 #include "cli.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "core/ag_tr.h"
 #include "core/ag_ts.h"
-#include "core/framework.h"
-#include "eval/adapters.h"
 #include "graph/union_find.h"
-#include "mcs/scenario.h"
-#include "ml/clustering_metrics.h"
 
 using namespace sybiltd;
 
@@ -206,6 +202,43 @@ std::vector<std::size_t> agts_exact_labels(const core::FrameworkInput& input,
 }
 
 // ---------------------------------------------------------------------------
+// Exact AG-TR reference without blocking: every unordered pair goes through
+// candidate::LbCascade — the lower-bound prefilter's exact decisions, then
+// exact DTW on the survivors — and the edges D < phi feed a union-find.
+// Edges are collected per row, so memory stays O(n + edges).
+
+std::vector<std::size_t> agtr_all_pairs_labels(
+    const core::FrameworkInput& input, double phi) {
+  const std::size_t n = input.accounts.size();
+  std::vector<std::vector<double>> xs(n), ys(n);
+  std::vector<candidate::TrajectoryFingerprint> fps(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    xs[i] = core::AgTr::task_series(input.accounts[i]);
+    ys[i] = core::AgTr::timestamp_series(input.accounts[i]);
+    fps[i].task = candidate::profile_of(xs[i]);
+    fps[i].time = candidate::profile_of(ys[i]);
+  }
+  candidate::CascadeOptions options;
+  options.phi = phi;
+  const candidate::LbCascade cascade(xs, ys, fps, options);
+  std::vector<std::vector<std::uint32_t>> row_edges(n);
+  parallel_for(n, [&](std::size_t i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      double d = 0.0;
+      if (cascade.evaluate(i, j, &d) == candidate::CascadeOutcome::kExact &&
+          d < phi) {
+        row_edges[i].push_back(static_cast<std::uint32_t>(j));
+      }
+    }
+  });
+  graph::UnionFind uf(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const std::uint32_t j : row_edges[i]) uf.unite(i, j);
+  }
+  return uf.labels();
+}
+
+// ---------------------------------------------------------------------------
 // Per-size measurements.
 
 struct AgTrRun {
@@ -224,22 +257,16 @@ struct AgTsRun {
 
 AgTrRun run_agtr(const core::FrameworkInput& input, bool with_baseline) {
   AgTrRun run;
-  core::AgTrOptions cand_opt;
-  cand_opt.candidates.mode = candidate::Mode::kOn;
+  const core::AgTrOptions options;
   auto t0 = std::chrono::steady_clock::now();
-  const auto cand = core::AgTr(cand_opt).group_with_stats(input, &run.stats);
+  const auto cand = core::AgTr(options).group_with_stats(input, &run.stats);
   run.candidate_s = seconds_since(t0);
   if (!with_baseline) return run;
 
-  // The strongest pre-candidate exact configuration: all pairs, pruned by
-  // the single-shot lower bound.
-  core::AgTrOptions base_opt;
-  base_opt.prune_with_lower_bound = true;
-  base_opt.candidates.mode = candidate::Mode::kOff;
   t0 = std::chrono::steady_clock::now();
-  const auto exact = core::AgTr(base_opt).group(input);
+  const auto exact = agtr_all_pairs_labels(input, options.phi);
   run.all_pairs_s = seconds_since(t0);
-  run.recall = pair_recall(exact.labels(), cand.labels());
+  run.recall = pair_recall(exact, cand.labels());
   return run;
 }
 
@@ -248,7 +275,6 @@ AgTsRun run_agts(const core::FrameworkInput& input, double rho,
   AgTsRun run;
   core::AgTsOptions sparse_opt;
   sparse_opt.rho = rho;
-  sparse_opt.candidates.mode = candidate::Mode::kOn;
   auto t0 = std::chrono::steady_clock::now();
   const auto sparse =
       core::AgTs(sparse_opt).group_with_stats(input, &run.stats);
@@ -369,9 +395,9 @@ int run_grouping(const std::vector<std::size_t>& sizes, bool json,
     return 0;
   }
   std::printf("AG-TR: endpoint-grid blocking + lower-bound cascade vs "
-              "all-pairs with the\nsingle-shot LB prefilter.  Recall is "
-              "pairwise against the exact grouping\n(1.0 expected: the "
-              "candidate path is provably exact).\n\n%s\n",
+              "the same cascade\nover all pairs.  Recall is pairwise "
+              "against the exact grouping\n(1.0 expected: the candidate "
+              "path is provably exact).\n\n%s\n",
               agtr_table.render().c_str());
   std::printf("AG-TS: signature collapse + MinHash set join vs an exact "
               "bitset-popcount\nsweep (rho = %.1f).\n\n%s",
@@ -418,74 +444,14 @@ int run_smoke(std::size_t n) {
   return ok ? 0 : 1;
 }
 
-int run_strategies(std::size_t max_legit) {
-  std::printf("=== Extension: AG-TR scalability (Attack-I attackers = 10%% "
-              "of users, 40 tasks) ===\n\n");
-
-  TextTable table({"accounts", "exact ms", "lb-pruned ms", "fastdtw ms",
-                   "pruned == exact", "fastdtw ARI vs exact",
-                   "framework ms"});
-
-  for (std::size_t legit = 40; legit <= max_legit; legit *= 2) {
-    const std::size_t attackers = legit / 10;
-    const auto config =
-        mcs::make_large_scenario(legit, attackers, 5, 40, 11 + legit);
-    const auto data = mcs::generate_scenario(config);
-    const auto input = eval::to_framework_input(data);
-    const std::size_t accounts = input.accounts.size();
-
-    core::AgTrOptions exact_opt;
-    core::AgTrOptions pruned_opt;
-    pruned_opt.prune_with_lower_bound = true;
-    core::AgTrOptions fast_opt;
-    fast_opt.approximate = true;
-    fast_opt.fast_dtw.radius = 2;
-
-    auto t0 = std::chrono::steady_clock::now();
-    const auto exact = core::AgTr(exact_opt).group(input);
-    const double exact_ms = 1e3 * seconds_since(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    const auto pruned = core::AgTr(pruned_opt).group(input);
-    const double pruned_ms = 1e3 * seconds_since(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    const auto fast = core::AgTr(fast_opt).group(input);
-    const double fast_ms = 1e3 * seconds_since(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    (void)core::run_framework(input, pruned);
-    const double framework_ms = 1e3 * seconds_since(t0);
-
-    const bool identical = pruned.labels() == exact.labels();
-    const double fast_agreement =
-        ml::adjusted_rand_index(fast.labels(), exact.labels());
-
-    table.add_row({std::to_string(accounts), format_cell(exact_ms, 1),
-                   format_cell(pruned_ms, 1), format_cell(fast_ms, 1),
-                   identical ? "yes" : "NO",
-                   format_cell(fast_agreement, 3),
-                   format_cell(framework_ms, 1)});
-  }
-  std::printf("%s", table.render().c_str());
-  std::printf("\nThe lower-bound prefilter is exact (identical grouping) "
-              "because pruning only\nskips pairs whose bound already "
-              "proves D >= phi; FastDTW is approximate but\nits grouping "
-              "should agree almost always (near-duplicate trajectories "
-              "have\nnear-zero cost at any radius).\n");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   constexpr const char* kUsage =
-      "scalability [accounts...] [--json] [--smoke] [--strategies] "
-      "[--all-pairs-cap N]";
+      "scalability [accounts...] [--json] [--smoke] [--all-pairs-cap N]";
   bench::handle_help(argc, argv, kUsage);
   bool json = false;
   bool smoke = false;
-  bool strategies = false;
   std::size_t all_pairs_cap = 100'000;
   std::vector<std::size_t> sizes;
   for (int i = 1; i < argc; ++i) {
@@ -493,17 +459,12 @@ int main(int argc, char** argv) {
       json = true;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--strategies") == 0) {
-      strategies = true;
     } else if (std::strcmp(argv[i], "--all-pairs-cap") == 0 &&
                i + 1 < argc) {
       all_pairs_cap = bench::parse_count(argv[++i], kUsage);
     } else {
       sizes.push_back(bench::parse_count(argv[i], kUsage, 1));
     }
-  }
-  if (strategies) {
-    return run_strategies(sizes.empty() ? 320 : sizes[0]);
   }
   if (smoke) {
     return run_smoke(sizes.empty() ? 5000 : sizes[0]);

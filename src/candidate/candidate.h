@@ -1,41 +1,21 @@
-// Candidate-generation policy shared by the grouping methods and the
-// pipeline's incremental regroup path.
+// Inert compatibility shim for the retired candidate-generation policy.
 //
-// Three modes:
-//   * kOff  — every consumer takes its pre-candidate all-pairs code path,
-//     byte-for-byte (the escape hatch; also `SYBILTD_CANDIDATES=off`).
-//   * kAuto — candidate generation engages once a campaign has at least
-//     `min_accounts` accounts; small campaigns keep the legacy paths,
-//     which are already fast there and pin down historical behavior.
-//   * kOn   — candidate generation runs at every size (used by tests and
-//     the recall benchmarks).
-//
-// The `SYBILTD_CANDIDATES` environment variable (off | auto | on)
-// overrides the configured mode and is re-read on every resolve so tests
-// and operators can flip it without rebuilding option structs.
+// Each grouping job now has one exact path chosen by its input (see
+// docs/GROUPING.md, "Which path runs"): AG-TR's total-cost mode always runs
+// endpoint-grid blocking plus the lower-bound cascade, AG-TS always runs
+// the sparse set join for rho >= 0, and the pipeline always regroups
+// incrementally.  Nothing reads this type.  It survives only because the
+// repository benchmark (perfbench/, which is built unmodified) still
+// assigns `candidates.mode = Mode::kOn` on AgTrOptions and AgTsOptions;
+// delete it together with those two lines.
 #pragma once
-
-#include <cstddef>
 
 namespace sybiltd::candidate {
 
-enum class Mode {
-  kOff = 0,
-  kAuto,
-  kOn,
-};
+enum class Mode { kOn };
 
 struct Policy {
-  Mode mode = Mode::kAuto;
-  // kAuto threshold: below this account count the all-pairs paths run.
-  std::size_t min_accounts = 512;
+  Mode mode = Mode::kOn;
 };
-
-// `configured` after applying the SYBILTD_CANDIDATES override (unset or
-// "auto" keeps the configured mode; unrecognized values throw).
-Mode resolve_mode(Mode configured);
-
-// Should the candidate path run for `n` accounts under `policy`?
-bool enabled(const Policy& policy, std::size_t n);
 
 }  // namespace sybiltd::candidate

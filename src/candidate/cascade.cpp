@@ -28,14 +28,6 @@ void CascadeStats::count(CascadeOutcome outcome) {
   }
 }
 
-double LbCascade::term_dtw(std::span<const double> a,
-                           std::span<const double> b) const {
-  if (options_.approximate) {
-    return dtw::fast_dtw(a, b, options_.fast_dtw).total_cost;
-  }
-  return dtw::dtw_total_cost(a, b, options_.dtw);
-}
-
 CascadeOutcome LbCascade::evaluate(std::size_t i, std::size_t j,
                                    double* dissimilarity) const {
   const std::vector<double>& xi = xs_[i];
@@ -67,11 +59,10 @@ CascadeOutcome LbCascade::evaluate(std::size_t i, std::size_t j,
     if (bx + by >= phi) return CascadeOutcome::kKeoghPruned;
   }
 
-  // Stage 4: exact (or FastDTW) terms, task series first — the time term
-  // can only add.
-  const double task_d = term_dtw(xi, xj);
+  // Stage 4: exact terms, task series first — the time term can only add.
+  const double task_d = dtw::dtw_total_cost(xi, xj, options_.dtw);
   if (task_d >= phi) return CascadeOutcome::kTaskAbandoned;
-  *dissimilarity = task_d + term_dtw(yi, yj);
+  *dissimilarity = task_d + dtw::dtw_total_cost(yi, yj, options_.dtw);
   return CascadeOutcome::kExact;
 }
 

@@ -16,10 +16,9 @@
 //
 // Because the bounds are monotone across stages (each stage takes a max
 // with the previous), the cascade prunes a pair if and only if the single
-// combined bound the pre-candidate prefilter computed reaches phi — same
-// decisions, same surviving pairs, same dissimilarity values, therefore
-// bit-identical grouping.  The staging only changes how early the cheap
-// rejections exit.
+// combined bound max(endpoint, envelope, LB_Keogh) reaches phi, and every
+// surviving pair gets its exact D(i,j).  The staging only changes how early
+// the cheap rejections exit.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +28,6 @@
 
 #include "candidate/features.h"
 #include "dtw/dtw.h"
-#include "dtw/fastdtw.h"
 
 namespace sybiltd::candidate {
 
@@ -59,9 +57,7 @@ struct CascadeStats {
 
 struct CascadeOptions {
   double phi = 1.0;
-  dtw::DtwOptions dtw;       // band forwarded to the exact DP and LB_Keogh
-  bool approximate = false;  // FastDTW instead of the exact DP (stage 4)
-  dtw::FastDtwOptions fast_dtw;
+  dtw::DtwOptions dtw;  // band forwarded to the exact DP and LB_Keogh
 };
 
 // Stateless evaluator over borrowed per-account series and fingerprints;
@@ -84,8 +80,6 @@ class LbCascade {
                           double* dissimilarity) const;
 
  private:
-  double term_dtw(std::span<const double> a, std::span<const double> b) const;
-
   std::span<const std::vector<double>> xs_;
   std::span<const std::vector<double>> ys_;
   std::span<const TrajectoryFingerprint> fps_;

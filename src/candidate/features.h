@@ -42,8 +42,8 @@ struct TrajectoryFingerprint {
 };
 
 // Squared distance of each element of `query` to the [lo, hi] envelope of
-// the other series — the degenerate whole-series LB_Keogh.  Bit-identical
-// to the bound the pre-candidate AG-TR prefilter computed.
+// the other series — the degenerate whole-series LB_Keogh, valid for any
+// lengths and any band.
 double envelope_bound(std::span<const double> query,
                       const SeriesProfile& candidate);
 

@@ -6,9 +6,7 @@
 #include "candidate/blocking.h"
 #include "candidate/cascade.h"
 #include "candidate/features.h"
-#include "common/error.h"
 #include "common/thread_pool.h"
-#include "dtw/fastdtw.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
 
@@ -17,11 +15,6 @@ namespace sybiltd::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Row-major rank of the unordered pair (i, j), i < j, in [0, n*(n-1)/2).
-inline std::size_t pair_rank(std::size_t n, std::size_t i, std::size_t j) {
-  return i * n - i * (i + 1) / 2 + (j - i - 1);
-}
 
 // Registry mirror of AgTrStats, accumulated across every grouping pass so
 // pruning effectiveness shows up in obs::snapshot() even when callers do
@@ -35,7 +28,7 @@ struct AgTrMetrics {
   obs::Counter& candidates = obs::MetricsRegistry::global().counter(
       "agtr.candidates", "pairs that reached the lower-bound cascade");
   obs::Counter& lb_pruned = obs::MetricsRegistry::global().counter(
-      "agtr.lb_pruned", "pairs discarded by the DTW lower bound");
+      "agtr.lb_pruned", "pairs discarded by the cascade's lower bounds");
   obs::Counter& endpoint_pruned = obs::MetricsRegistry::global().counter(
       "agtr.cascade.endpoint_pruned",
       "cascade prunes at the O(1) endpoint stage");
@@ -55,10 +48,6 @@ struct AgTrMetrics {
     return metrics;
   }
 };
-
-// Outcome sentinel for pairs the evaluation never touched (empty series in
-// the all-pairs path); distinct from every CascadeOutcome value.
-constexpr std::uint8_t kSkipped = 0xff;
 
 }  // namespace
 
@@ -133,131 +122,66 @@ AccountGrouping AgTr::group_with_stats(const FrameworkInput& input,
     return AccountGrouping::singletons(0);
   }
   const double phi = options_.phi;
-
-  // The lower bounds hold for the accumulated squared cost; Eq. (7)'s
-  // path-length normalization breaks them, so that mode runs unpruned and
-  // without candidate generation (kAuto degrades silently; explicit kOn is
-  // a configuration error).
-  SYBILTD_CHECK(options_.mode == DtwMode::kTotalCost ||
-                    !options_.prune_with_lower_bound,
-                "lower-bound pruning requires total-cost DTW mode");
-  SYBILTD_CHECK(
-      options_.mode == DtwMode::kTotalCost ||
-          candidate::resolve_mode(options_.candidates.mode) !=
-              candidate::Mode::kOn,
-      "candidate generation requires total-cost DTW mode");
-  const bool use_candidates = options_.mode == DtwMode::kTotalCost &&
-                              candidate::enabled(options_.candidates, n);
-
-  std::vector<std::vector<double>> xs(n), ys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    xs[i] = task_series(input.accounts[i]);
-    ys[i] = timestamp_series(input.accounts[i]);
-  }
-  const bool need_fingerprints =
-      use_candidates || options_.prune_with_lower_bound;
-  std::vector<candidate::TrajectoryFingerprint> fps(
-      need_fingerprints ? n : 0);
-  for (std::size_t i = 0; i < fps.size(); ++i) {
-    fps[i].task = candidate::profile_of(xs[i]);
-    fps[i].time = candidate::profile_of(ys[i]);
-  }
-  candidate::CascadeOptions cascade_options;
-  cascade_options.phi = phi;
-  cascade_options.dtw = options_.dtw;
-  cascade_options.approximate = options_.approximate;
-  cascade_options.fast_dtw = options_.fast_dtw;
-  const candidate::LbCascade cascade(xs, ys, fps, cascade_options);
-
-  auto pair_dtw = [&](const std::vector<double>& a,
-                      const std::vector<double>& b) {
-    if (options_.approximate) {
-      const auto r = dtw::fast_dtw(a, b, options_.fast_dtw);
-      return options_.mode == DtwMode::kTotalCost ? r.total_cost
-                                                  : r.distance;
-    }
-    return dtw_value(a, b);
-  };
-
-  graph::UndirectedGraph g(n);
-  candidate::CascadeStats cascade_stats;
   AgTrStats local;
   local.pairs = ThreadPool::pair_count(n);
 
-  if (use_candidates) {
+  graph::UndirectedGraph g(n);
+  if (options_.mode == DtwMode::kPathNormalized) {
+    // Eq. (7)'s path-length normalization breaks the cascade's lower
+    // bounds, so this mode thresholds the full matrix.
+    g = graph::threshold_graph(dissimilarity_matrices(input).dissimilarity,
+                               [phi](double d) { return d < phi; });
+    std::size_t with_reports = 0;
+    for (const auto& account : input.accounts) {
+      with_reports += account.reports.empty() ? 0 : 1;
+    }
+    local.candidates = local.pairs;
+    local.exact_pairs = ThreadPool::pair_count(with_reports);
+  } else {
+    std::vector<std::vector<double>> xs(n), ys(n);
+    std::vector<candidate::TrajectoryFingerprint> fps(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      xs[i] = task_series(input.accounts[i]);
+      ys[i] = timestamp_series(input.accounts[i]);
+      fps[i].task = candidate::profile_of(xs[i]);
+      fps[i].time = candidate::profile_of(ys[i]);
+    }
+    candidate::CascadeOptions cascade_options;
+    cascade_options.phi = phi;
+    cascade_options.dtw = options_.dtw;
+    const candidate::LbCascade cascade(xs, ys, fps, cascade_options);
+
     // Generate-then-verify: the endpoint grid emits the only pairs that
-    // could have D < phi, in the same lexicographic (i, j) order the
-    // all-pairs loop visits — so the serial edge fold below builds the
-    // identical graph, and the grouping is bit-identical to exact mode.
-    candidate::BlockingStats blocking;
+    // could have D < phi, sorted in lexicographic (i, j) order, so the
+    // serial edge fold below adds the same edges in the same order as
+    // thresholding the full matrix — at every thread count.
     const std::vector<std::uint64_t> pairs =
-        candidate::endpoint_grid_candidates(fps, phi, &blocking);
+        candidate::endpoint_grid_candidates(fps, phi);
     local.candidates = pairs.size();
     local.blocked = local.pairs - pairs.size();
     std::vector<double> dissim(pairs.size(), kInf);
-    std::vector<std::uint8_t> outcome(pairs.size(), kSkipped);
+    std::vector<candidate::CascadeOutcome> outcome(pairs.size());
     parallel_for(pairs.size(), [&](std::size_t k) {
-      outcome[k] = static_cast<std::uint8_t>(
-          cascade.evaluate(candidate::pair_first(pairs[k]),
-                           candidate::pair_second(pairs[k]), &dissim[k]));
+      outcome[k] = cascade.evaluate(candidate::pair_first(pairs[k]),
+                                    candidate::pair_second(pairs[k]),
+                                    &dissim[k]);
     });
+    candidate::CascadeStats cascade_stats;
     for (std::size_t k = 0; k < pairs.size(); ++k) {
-      cascade_stats.count(static_cast<candidate::CascadeOutcome>(outcome[k]));
-      if (outcome[k] ==
-              static_cast<std::uint8_t>(candidate::CascadeOutcome::kExact) &&
+      cascade_stats.count(outcome[k]);
+      if (outcome[k] == candidate::CascadeOutcome::kExact &&
           dissim[k] < phi) {
         g.add_edge(candidate::pair_first(pairs[k]),
                    candidate::pair_second(pairs[k]), dissim[k]);
       }
     }
-  } else {
-    // All-pairs evaluation (the pre-candidate code path).  One
-    // dissimilarity per unordered pair, written to a slot owned by the
-    // pair; kInf marks "no edge" (excluded, pruned, or >= phi).  The edge
-    // pass below is serial and in canonical order, so the graph — and the
-    // grouping — is identical at every thread count.
-    local.candidates = local.pairs;
-    std::vector<double> dissim(ThreadPool::pair_count(n), kInf);
-    std::vector<std::uint8_t> outcome(ThreadPool::pair_count(n), kSkipped);
-    parallel_pairwise(n, [&](std::size_t i, std::size_t j) {
-      const std::size_t rank = pair_rank(n, i, j);
-      if (options_.prune_with_lower_bound) {
-        // The staged cascade takes the same max-of-bounds decisions as the
-        // original single-shot prefilter, just cheapest-first.
-        outcome[rank] = static_cast<std::uint8_t>(
-            cascade.evaluate(i, j, &dissim[rank]));
-        return;
-      }
-      if (xs[i].empty() || xs[j].empty()) return;
-      const double task_d = pair_dtw(xs[i], xs[j]);
-      if (task_d >= phi) {  // the time term can only add
-        outcome[rank] = static_cast<std::uint8_t>(
-            candidate::CascadeOutcome::kTaskAbandoned);
-        return;
-      }
-      outcome[rank] =
-          static_cast<std::uint8_t>(candidate::CascadeOutcome::kExact);
-      dissim[rank] = task_d + pair_dtw(ys[i], ys[j]);
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const std::size_t rank = pair_rank(n, i, j);
-        if (outcome[rank] != kSkipped) {
-          cascade_stats.count(
-              static_cast<candidate::CascadeOutcome>(outcome[rank]));
-        }
-        const double d = dissim[rank];
-        if (d < phi) g.add_edge(i, j, d);
-      }
-    }
+    local.lb_pruned = cascade_stats.lb_pruned();
+    local.endpoint_pruned = cascade_stats.endpoint_pruned;
+    local.envelope_pruned = cascade_stats.envelope_pruned;
+    local.keogh_pruned = cascade_stats.keogh_pruned;
+    local.task_abandoned = cascade_stats.task_abandoned;
+    local.exact_pairs = cascade_stats.exact_pairs;
   }
-
-  local.lb_pruned = cascade_stats.lb_pruned();
-  local.endpoint_pruned = cascade_stats.endpoint_pruned;
-  local.envelope_pruned = cascade_stats.envelope_pruned;
-  local.keogh_pruned = cascade_stats.keogh_pruned;
-  local.task_abandoned = cascade_stats.task_abandoned;
-  local.exact_pairs = cascade_stats.exact_pairs;
 
   auto& metrics = AgTrMetrics::get();
   metrics.pairs.inc(local.pairs);

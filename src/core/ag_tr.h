@@ -12,6 +12,14 @@
 // 1 + 0.01 with hour-unit timestamps.  We default to the example's
 // total-cost mode (it reproduces Fig. 4 exactly) and expose Eq. (7)
 // normalization as an option for the ablation bench.
+//
+// One exact edge set, computed by the path the DTW mode admits:
+//   * total cost — endpoint-grid blocking emits the only pairs that could
+//     have D < phi and the lower-bound cascade verifies them
+//     (src/candidate/; provably the same edges as all pairs, see
+//     docs/GROUPING.md);
+//   * Eq. (7) path-normalized — the cascade's bounds do not hold, so the
+//     full dissimilarity matrix is thresholded.
 #pragma once
 
 #include <vector>
@@ -19,7 +27,6 @@
 #include "candidate/candidate.h"
 #include "core/grouping.h"
 #include "dtw/dtw.h"
-#include "dtw/fastdtw.h"
 
 namespace sybiltd::core {
 
@@ -32,24 +39,7 @@ struct AgTrOptions {
   double phi = 1.0;  // edge threshold (paper's example value)
   DtwMode mode = DtwMode::kTotalCost;
   dtw::DtwOptions dtw;  // optional Sakoe–Chiba band
-  // Scalability knobs for large campaigns (group() only; the exposed
-  // dissimilarity_matrices() always computes exact full matrices):
-  // skip the exact DTW for pairs whose lower bound already reaches phi —
-  // exact pruning, identical grouping (total-cost mode).  The bound is the
-  // endpoint bound plus an LB_Keogh-style envelope bound: the true
-  // LB_Keogh under the configured band for equal-length series, and the
-  // degenerate whole-series envelope (valid for any lengths and any band)
-  // otherwise.
-  bool prune_with_lower_bound = false;
-  // Use FastDTW instead of the exact DP (approximate; total-cost mode).
-  bool approximate = false;
-  dtw::FastDtwOptions fast_dtw;
-  // Generate-then-verify candidate pairs (src/candidate/): an endpoint-grid
-  // blocking pass emits only pairs that could have D < phi, and the
-  // lower-bound cascade filters those before exact DTW.  Provably the same
-  // edge set — and the same grouping, bit for bit — as the all-pairs path
-  // in total-cost mode (see docs/GROUPING.md).  kAuto engages at
-  // min_accounts; SYBILTD_CANDIDATES=off|auto|on overrides.
+  // Inert; see candidate/candidate.h.
   candidate::Policy candidates;
 };
 
@@ -57,13 +47,14 @@ struct AgTrOptions {
 // The funnel reads top to bottom: of `pairs` total, `blocked` never left
 // the blocking grid, `candidates` reached the cascade, the `*_pruned`
 // stages discarded their share, `task_abandoned` stopped after one DP, and
-// `exact_pairs` ran both.  With candidates off, candidates == pairs and the
-// per-stage counters are only populated when the prefilter runs.
+// `exact_pairs` ran both.  In path-normalized mode nothing is blocked or
+// pruned: every pair is a candidate and every pair of accounts with
+// reports runs both DTW terms.
 struct AgTrStats {
   std::size_t pairs = 0;           // unordered pairs considered
   std::size_t blocked = 0;         // excluded by endpoint-grid blocking
   std::size_t candidates = 0;      // pairs evaluated by the cascade
-  std::size_t lb_pruned = 0;       // excluded by the lower-bound prefilter
+  std::size_t lb_pruned = 0;       // excluded by the cascade's lower bounds
   std::size_t endpoint_pruned = 0;  //   ... at the O(1) endpoint stage
   std::size_t envelope_pruned = 0;  //   ... at the envelope stage
   std::size_t keogh_pruned = 0;     //   ... at the strict LB_Keogh stage
@@ -79,7 +70,8 @@ class AgTr final : public AccountGrouper {
 
   // group() plus pruning counters (stats may be null).  The pairwise stage
   // runs on the shared ThreadPool; the grouping is identical at every
-  // concurrency, and identical with pruning on or off (total-cost mode).
+  // concurrency, and equal to the components of the phi-thresholded
+  // dissimilarity_matrices().
   AccountGrouping group_with_stats(const FrameworkInput& input,
                                    AgTrStats* stats) const;
 
@@ -88,7 +80,8 @@ class AgTr final : public AccountGrouper {
   // Timestamp series in hours.
   static std::vector<double> timestamp_series(const AccountTrace& account);
 
-  // Full pairwise dissimilarity matrices, exposed for the Fig. 4 bench.
+  // Full pairwise dissimilarity matrices, exposed for the Fig. 4 bench and
+  // as the grouping's test reference.
   struct Matrices {
     std::vector<std::vector<double>> task_dtw;
     std::vector<std::vector<double>> time_dtw;

@@ -113,10 +113,9 @@ AccountGrouping AgTs::group_with_stats(const FrameworkInput& input,
 
   // The sparse join's candidate generation leans on the necessity
   // T > 2L  ⇔  Jaccard > 2/3 for a positive affinity; a negative rho can
-  // admit edges with arbitrarily low Jaccard, so it stays dense.
-  const bool use_sparse =
-      rho >= 0.0 && candidate::enabled(options_.candidates, n);
-  if (!use_sparse) {
+  // admit edges with arbitrarily low Jaccard, so it stays dense (as does
+  // a NaN rho, which admits no edge either way).
+  if (!(rho >= 0.0)) {
     metrics.dense_groupings.inc();
     const auto affinities = affinity_matrix(input);
     const auto g = graph::threshold_graph(

@@ -6,15 +6,15 @@
 // either did alone) and m is the task count.  Accounts are nodes of a graph
 // with edges where A > rho; connected components become groups.
 //
-// Two evaluation strategies produce that graph:
-//   * dense — the n x n affinity matrix (exposed for the Fig. 3 bench), the
-//     paper-verbatim path and the only valid one for rho < 0;
-//   * sparse (candidate::sparse_affinity_edges) — for the non-negative
-//     thresholds used in practice an edge needs T > 2L, i.e. Jaccard
-//     similarity above 2/3, so identical-set collapse + MinHash LSH +
-//     exact verification finds the same components without ever
-//     materializing a dense matrix.  Engaged per the candidate policy
-//     (kAuto at min_accounts; SYBILTD_CANDIDATES overrides).
+// The sign of rho picks the one path that computes that graph exactly:
+//   * rho >= 0 — sparse (candidate::sparse_affinity_edges): an edge needs
+//     T > 2L, i.e. Jaccard similarity above 2/3, so identical-set
+//     collapse + MinHash LSH + exact verification finds the same
+//     components without ever materializing a dense matrix;
+//   * rho < 0 — dense: the necessity argument fails (a negative threshold
+//     admits edges at any Jaccard), so the n x n affinity matrix is
+//     thresholded.  affinity_matrix() is also exposed for the Fig. 3 bench
+//     and as the test reference.
 //
 // NOTE on the paper's worked example (Table III / Fig. 3): by Eq. (6) as
 // printed, A(1,4') = A(1,3) = (3-2)(3+1)/4 = 1 — the two pairs are
@@ -36,17 +36,15 @@ namespace sybiltd::core {
 
 struct AgTsOptions {
   double rho = 1.0;  // edge threshold (paper's example value)
-  // Sparse-path policy; the dense matrix is only ever built when this says
-  // off, the campaign is small, or rho < 0 (where the sparse necessity
-  // argument J > 2/3 does not hold).
+  // Inert; see candidate/candidate.h.
   candidate::Policy candidates;
-  candidate::SetJoinOptions set_join;
+  candidate::SetJoinOptions set_join;  // sparse path (rho >= 0) tuning
 };
 
 // Counters from one group() run, for the scalability bench.
 struct AgTsStats {
   std::size_t pairs = 0;  // unordered account pairs
-  bool sparse = false;    // sparse set-join path taken
+  bool sparse = false;    // sparse set-join path taken (rho >= 0)
   candidate::SetJoinStats join;  // populated on the sparse path
 };
 

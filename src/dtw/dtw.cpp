@@ -393,4 +393,37 @@ double dtw_distance_znorm(std::span<const double> a,
   return dtw_distance(na.span(), nb.span(), options);
 }
 
+double lb_keogh(std::span<const double> query,
+                std::span<const double> candidate, std::size_t band) {
+  SYBILTD_CHECK(query.size() == candidate.size(),
+                "LB_Keogh needs equal-length series");
+  SYBILTD_CHECK(!query.empty(), "LB_Keogh of an empty series");
+  const std::size_t n = query.size();
+  double bound = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t lo = i > band ? i - band : 0;
+    const std::size_t hi = std::min(n - 1, i + band);
+    double upper = -kInf, lower = kInf;
+    for (std::size_t j = lo; j <= hi; ++j) {
+      upper = std::max(upper, candidate[j]);
+      lower = std::min(lower, candidate[j]);
+    }
+    if (query[i] > upper) {
+      bound += sq(query[i] - upper);
+    } else if (query[i] < lower) {
+      bound += sq(query[i] - lower);
+    }
+  }
+  return bound;
+}
+
+double endpoint_lower_bound(std::span<const double> a,
+                            std::span<const double> b) {
+  SYBILTD_CHECK(!a.empty() && !b.empty(),
+                "endpoint bound of an empty series");
+  const double first = sq(a.front() - b.front());
+  if (a.size() == 1 && b.size() == 1) return first;
+  return first + sq(a.back() - b.back());
+}
+
 }  // namespace sybiltd::dtw

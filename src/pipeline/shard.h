@@ -16,19 +16,22 @@
 //     those counts (O(accounts)) instead of recomputing the O(n²·m)
 //     matrix,
 //   * the connected-component grouping over the affinity > rho graph,
-//     rebuilt lazily (union-find over the pair counts) only when some
-//     report changed a task-set membership,
+//     updated lazily only when some report changed a task-set membership:
+//     only the affinity rows of accounts dirtied since the last regroup
+//     are recomputed — O(dirty · n) instead of O(n²) — and handed to
+//     graph::IncrementalComponents,
 //   * the grouped table (Eqs. 3-4), rebuilt in place per micro-batch so
 //     warm batches reuse its capacity, and warm CRH truth state at the
-//     group granularity, refined a few iterations per micro-batch the way
-//     truth::OnlineCrh refines per observation.
+//     group granularity, refined a few warm-started iterations per
+//     micro-batch rather than re-run from scratch.
 //
-// Forgetting follows OnlineCrh semantics lifted to the grouped setting:
-// each observation records its arrival step; once its influence
-// decay^age falls below influence_floor it is evicted, which updates the
-// pair counts and (possibly) splits groups.  With decay = 1 nothing is
-// ever forgotten and a drained shard reproduces the batch
-// core::run_framework output exactly (tested to 1e-9).
+// Forgetting is exponential decay by arrival order: each observation
+// records its arrival step (counted per campaign), its influence is
+// decay^age, and once that falls below influence_floor the observation is
+// evicted outright, which updates the pair counts and (possibly) splits
+// groups.  With decay = 1 nothing is ever forgotten and a drained shard
+// reproduces the batch core::run_framework output exactly (tested to
+// 1e-9).
 //
 // Threading contract: all CampaignState mutation happens on the shard's
 // worker thread; readers see results only through the published
@@ -47,7 +50,6 @@
 #include <utility>
 #include <vector>
 
-#include "candidate/candidate.h"
 #include "core/framework.h"
 #include "core/grouping.h"
 #include "graph/incremental.h"
@@ -77,13 +79,6 @@ struct ShardOptions {
   // Eq. 3/4 aggregation and convergence configuration shared with the
   // batch framework.
   core::FrameworkOptions framework;
-  // Incremental-regroup policy: once a campaign reaches
-  // candidates.min_accounts (or always under kOn; SYBILTD_CANDIDATES
-  // overrides), regrouping only recomputes the affinity rows of accounts
-  // dirtied since the last regroup — O(dirty · n) instead of O(n²) — via
-  // graph::IncrementalComponents.  Off reproduces the full union-find
-  // rebuild byte for byte.
-  candidate::Policy candidates;
 };
 
 // Monotonic work counters, aggregated across a shard's campaigns.  Atomics
@@ -124,7 +119,8 @@ class CampaignState {
   // decay = 1).  Membership removals dirty the grouping.
   void evict_stale();
 
-  // Current grouping; rebuilt from the pair counts when dirty.
+  // Current grouping; the dirty accounts' affinity rows are recomputed
+  // from the pair counts and folded into the component structure.
   const core::AccountGrouping& grouping();
 
   // Refine the warm truth state (a few iterations, or to convergence via
@@ -163,9 +159,7 @@ class CampaignState {
   core::AccountGrouping grouping_;
   bool grouping_dirty_ = false;
   // Lazy-regroup bookkeeping: accounts whose affinity row changed since the
-  // incremental component structure last consumed them.  The bits are only
-  // cleared by the incremental path, so a campaign that crosses the policy
-  // threshold (or an env flip) hands the structure a complete backlog.
+  // incremental component structure last consumed them.
   std::vector<std::uint8_t> dirty_account_;
   std::vector<std::uint32_t> dirty_list_;
   graph::IncrementalComponents components_;

@@ -1,5 +1,5 @@
 // Unit and property tests for src/dtw, including the exact values of the
-// paper's Fig. 4 worked example.
+// paper's Fig. 4 worked example and the lower bounds AG-TR prunes with.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -327,6 +327,48 @@ TEST_P(DtwLowerBound, NeverExceedsLockStepCost) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DtwLowerBound,
                          ::testing::Values(100, 101, 102, 103, 104, 105));
+
+class LbKeoghBound : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Property: LB_Keogh never exceeds the banded DTW total cost.
+TEST_P(LbKeoghBound, IsALowerBoundOnBandedDtw) {
+  Rng rng(GetParam());
+  const std::size_t n = 32;
+  std::vector<double> a(n), b(n);
+  for (auto& v : a) v = rng.uniform(-2, 2);
+  for (auto& v : b) v = rng.uniform(-2, 2);
+  for (std::size_t band : {1ul, 3ul, 8ul}) {
+    const double bound = lb_keogh(a, b, band);
+    DtwOptions opt;
+    opt.band = band;
+    const double exact = dtw_full(a, b, opt).total_cost;
+    EXPECT_LE(bound, exact + 1e-9) << "band " << band;
+    EXPECT_GE(bound, 0.0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LbKeoghBound,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(LbKeogh, ZeroForSeriesInsideEnvelope) {
+  const std::vector<double> a{0, 0, 0, 0};
+  const std::vector<double> b{1, -1, 1, -1};
+  // Query constant 0 always lies within [min, max] of any window of b.
+  EXPECT_EQ(lb_keogh(a, b, 1), 0.0);
+}
+
+TEST(LbKeogh, PositiveForSeparatedSeries) {
+  const std::vector<double> a{5, 5, 5, 5};
+  const std::vector<double> b{0, 0, 0, 0};
+  EXPECT_NEAR(lb_keogh(a, b, 1), 4 * 25.0, 1e-12);
+}
+
+TEST(LbKeogh, ValidatesInput) {
+  const std::vector<double> a{1, 2};
+  const std::vector<double> b{1};
+  EXPECT_THROW(lb_keogh(a, b, 1), std::invalid_argument);
+  EXPECT_THROW(lb_keogh({}, {}, 1), std::invalid_argument);
+}
 
 }  // namespace
 }  // namespace sybiltd::dtw

@@ -75,23 +75,19 @@ TEST_F(ParallelDeterminismTest, AgTrGroupingAndMatrices) {
 }
 
 TEST_F(ParallelDeterminismTest, AgTrPrunedMatchesAtBothSizes) {
-  core::AgTrOptions options;
-  options.prune_with_lower_bound = true;
-  const core::AgTr pruned(options);
+  const core::AgTr pruned;
   core::AgTrStats stats1, stats8;
   ThreadPool::set_global_concurrency(1);
   const auto g1 = pruned.group_with_stats(*input_, &stats1);
   ThreadPool::set_global_concurrency(8);
   const auto g8 = pruned.group_with_stats(*input_, &stats8);
   EXPECT_EQ(g1.labels(), g8.labels());
-  // The prefilter decision per pair depends only on the pair, so the
-  // counters match too.
+  // The blocking and cascade decisions per pair depend only on the pair,
+  // so the counters match too.
+  EXPECT_EQ(stats1.blocked, stats8.blocked);
   EXPECT_EQ(stats1.lb_pruned, stats8.lb_pruned);
   EXPECT_EQ(stats1.task_abandoned, stats8.task_abandoned);
   EXPECT_EQ(stats1.exact_pairs, stats8.exact_pairs);
-  // And pruning never changes the grouping.
-  const auto exact = core::AgTr().group(*input_);
-  EXPECT_EQ(g8.labels(), exact.labels());
 }
 
 TEST_F(ParallelDeterminismTest, AgTsAffinityAndGrouping) {

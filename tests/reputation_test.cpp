@@ -1,12 +1,10 @@
-// Tests for the cross-campaign reputation ledger, reputation-weighted CRH,
-// and the AG-AUTO dispatching grouper.
+// Tests for the cross-campaign reputation ledger and reputation-weighted
+// CRH.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.h"
-#include "core/ag_auto.h"
-#include "eval/adapters.h"
 #include "eval/metrics.h"
 #include "reputation/ledger.h"
 
@@ -129,47 +127,3 @@ TEST(ReputationCrh, ValidatesIdentityCount) {
 
 }  // namespace
 }  // namespace sybiltd::reputation
-
-namespace sybiltd::core {
-namespace {
-
-TEST(AgAuto, SimilarityMetric) {
-  FrameworkInput input;
-  input.task_count = 4;
-  for (int i = 0; i < 2; ++i) {
-    AccountTrace trace;
-    for (std::size_t j = 0; j < 4; ++j) {
-      trace.reports.push_back({j, 0.0, 0.1 * static_cast<double>(j)});
-    }
-    input.accounts.push_back(std::move(trace));
-  }
-  EXPECT_NEAR(AgAuto::mean_task_set_similarity(input), 1.0, 1e-12);
-  // Disjoint sets.
-  input.accounts[1].reports.clear();
-  input.accounts[1].reports.push_back({3, 0.0, 0.0});
-  input.accounts[0].reports.resize(2);  // tasks 0, 1
-  EXPECT_NEAR(AgAuto::mean_task_set_similarity(input), 0.0, 1e-12);
-}
-
-TEST(AgAuto, DispatchesPerPaperGuidance) {
-  // Diverse task sets (low legit activeness) -> AG-TS behaviour;
-  // identical task sets (activeness 1) -> AG-TR behaviour.
-  const auto diverse =
-      mcs::generate_scenario(mcs::make_paper_scenario(0.3, 0.5, 21));
-  const auto similar =
-      mcs::generate_scenario(mcs::make_paper_scenario(1.0, 1.0, 21));
-  const auto diverse_input = eval::to_framework_input(diverse);
-  const auto similar_input = eval::to_framework_input(similar);
-
-  EXPECT_LT(AgAuto::mean_task_set_similarity(diverse_input), 0.6);
-  EXPECT_GT(AgAuto::mean_task_set_similarity(similar_input), 0.6);
-
-  const AgAuto agauto;
-  EXPECT_EQ(agauto.group(diverse_input).labels(),
-            AgTs().group(diverse_input).labels());
-  EXPECT_EQ(agauto.group(similar_input).labels(),
-            AgTr().group(similar_input).labels());
-}
-
-}  // namespace
-}  // namespace sybiltd::core

@@ -1,9 +1,10 @@
-// Tests for the AG-TR scalability options (lower-bound pruning, FastDTW)
-// and the large-scenario generator.
+// Tests for AG-TR's pruned grouping at scenario scale and the
+// large-scenario generator.
 #include <gtest/gtest.h>
 
 #include "core/ag_tr.h"
 #include "eval/adapters.h"
+#include "graph/graph.h"
 #include "ml/clustering_metrics.h"
 #include "mcs/scenario.h"
 
@@ -15,34 +16,20 @@ TEST(AgTrScalable, PrunedGroupingIdenticalToExact) {
     const auto data = mcs::generate_scenario(
         mcs::make_large_scenario(40, 4, 5, 20, seed));
     const auto input = eval::to_framework_input(data);
-    AgTrOptions pruned_opt;
-    pruned_opt.prune_with_lower_bound = true;
-    const auto exact = AgTr().group(input);
-    const auto pruned = AgTr(pruned_opt).group(input);
+    const AgTr agtr;
+    AgTrStats stats;
+    const auto pruned = agtr.group_with_stats(input, &stats);
+    // Exact reference: components of the thresholded full matrix.
+    const double phi = AgTrOptions{}.phi;
+    const auto matrices = agtr.dissimilarity_matrices(input);
+    const auto exact = AccountGrouping(
+        graph::threshold_graph(matrices.dissimilarity,
+                               [phi](double d) { return d < phi; })
+            .connected_components(),
+        input.accounts.size());
     EXPECT_EQ(exact.labels(), pruned.labels()) << "seed " << seed;
+    EXPECT_GT(stats.blocked + stats.lb_pruned, 0u) << "seed " << seed;
   }
-}
-
-TEST(AgTrScalable, FastDtwGroupingAgreesOnPaperScenario) {
-  const auto data =
-      mcs::generate_scenario(mcs::make_paper_scenario(0.5, 0.8, 5));
-  const auto input = eval::to_framework_input(data);
-  AgTrOptions fast_opt;
-  fast_opt.approximate = true;
-  const auto exact = AgTr().group(input);
-  const auto fast = AgTr(fast_opt).group(input);
-  EXPECT_NEAR(ml::adjusted_rand_index(exact.labels(), fast.labels()), 1.0,
-              1e-9);
-}
-
-TEST(AgTrScalable, PruningRequiresTotalCostMode) {
-  AgTrOptions opt;
-  opt.prune_with_lower_bound = true;
-  opt.mode = DtwMode::kPathNormalized;
-  const auto data =
-      mcs::generate_scenario(mcs::make_paper_scenario(0.5, 0.5, 6));
-  const auto input = eval::to_framework_input(data);
-  EXPECT_THROW(AgTr(opt).group(input), std::invalid_argument);
 }
 
 TEST(LargeScenario, StructureMatchesParameters) {
@@ -73,9 +60,7 @@ TEST(LargeScenario, AgTrStillSeparatesAttackers) {
   const auto data = mcs::generate_scenario(
       mcs::make_large_scenario(30, 3, 5, 20, 12));
   const auto input = eval::to_framework_input(data);
-  AgTrOptions opt;
-  opt.prune_with_lower_bound = true;
-  const auto grouping = AgTr(opt).group(input);
+  const auto grouping = AgTr().group(input);
   const double ari = ml::adjusted_rand_index(grouping.labels(),
                                              data.true_user_labels());
   EXPECT_GT(ari, 0.8);

@@ -23,7 +23,6 @@
 #include "dtw/dtw.h"
 #include "signal/fft.h"
 #include "signal/welch.h"
-#include "truth/online_crh.h"
 
 // --- Counting allocation probe ---------------------------------------------
 // Replacement global operator new/delete forwarding to malloc/free with an
@@ -210,23 +209,6 @@ TEST(ZeroAllocation, WelchPsdIntoAfterWarmUp) {
   EXPECT_EQ(allocs, 0u) << "welch_psd_into allocated in steady state";
   EXPECT_EQ(out.segment_length, 128u);
   EXPECT_GE(out.segments_averaged, 1u);
-}
-
-TEST(ZeroAllocation, OnlineCrhRefineAfterWarmUp) {
-  truth::OnlineCrhOptions options;
-  options.decay = 0.97;
-  truth::OnlineCrh online(6, 4, options);
-  Rng rng(4);
-  for (int i = 0; i < 300; ++i) {
-    online.observe(rng.uniform_index(6), rng.uniform_index(4),
-                   rng.uniform(-5.0, 5.0));
-  }
-  online.refine(1);  // warm the workspace buffers
-
-  const auto allocs = count_allocations([&] {
-    for (int i = 0; i < 5; ++i) online.refine(1);
-  });
-  EXPECT_EQ(allocs, 0u) << "OnlineCrh::refine allocated in steady state";
 }
 
 TEST(ZeroAllocation, FrameworkIterateOnceAfterWarmUp) {
